@@ -31,7 +31,7 @@ SRC = os.path.join(ROOT, "src")
 WORK = os.path.join(ROOT, ".bench_run")
 GOLDEN = os.path.join(HERE, "golden.json")
 DEFAULT_SEED = 0
-WORKLOAD_NAMES = ("serve", "sweep", "snapshot")
+WORKLOAD_NAMES = ("serve", "sweep")
 
 
 def _import_lshkit() -> None:
@@ -54,9 +54,8 @@ def _parse_args(argv):
     p.add_argument("--trace", type=int, choices=(0, 1), required=True)
     p.add_argument("--scale", choices=("full", "tiny"), default="full",
                    help="tiny: the smoke test's small inputs")
-    p.add_argument("--golden", default=GOLDEN, help="golden digest file (JSON)")
     p.add_argument("--record-golden", action="store_true",
-                   help=f"write this run's digests into --golden instead of checking them "
+                   help=f"write this run's digests into golden.json instead of checking them "
                         f"(seed {DEFAULT_SEED}, --trace 0 only)")
     return p.parse_args(argv)
 
@@ -67,27 +66,34 @@ def _check_golden(args, out) -> None:
         if args.seed != DEFAULT_SEED or args.trace:
             sys.exit(f"--record-golden needs --seed {DEFAULT_SEED} --trace 0")
         golden = {}
-        if os.path.exists(args.golden):
-            with open(args.golden, encoding="utf-8") as fh:
+        if os.path.exists(GOLDEN):
+            with open(GOLDEN, encoding="utf-8") as fh:
                 golden = json.load(fh)
         golden[key] = out.digests
-        with open(args.golden, "w", encoding="utf-8") as fh:
+        with open(GOLDEN, "w", encoding="utf-8") as fh:
             json.dump(golden, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return
     if args.seed != DEFAULT_SEED:
         return
-    with open(args.golden, encoding="utf-8") as fh:
+    with open(GOLDEN, encoding="utf-8") as fh:
         expected = json.load(fh).get(key, {})
     for name, digest in out.digests.items():
         want = expected.get(name)
         out.check([] if digest == want else [f"{name} digest {digest} != golden {want}"])
 
 
+def _declared(trace: int) -> dict[str, str]:
+    """Metric name -> unit, in BENCHMARK.json's order, for this kind of run."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        bench = json.load(fh)
+    return {m["name"]: m["unit"] for m in bench["per_layer" if trace else "end_to_end"]}
+
+
 def main(argv=None) -> int:
     args = _parse_args(argv)
     _import_lshkit()
-    import tracing
+    units = _declared(args.trace)
     import workloads
 
     os.makedirs(WORK, exist_ok=True)
@@ -102,11 +108,12 @@ def main(argv=None) -> int:
             pass  # another run still uses it
     _check_golden(args, out)
 
-    units = tracing.LAYER_METRICS if args.trace else workloads.END_TO_END
+    if set(out.metrics) != set(units):
+        sys.exit(f"measured {sorted(out.metrics)}, BENCHMARK.json declares {sorted(units)}")
     print(f"workload={args.workload} seed={args.seed} scale={args.scale} trace={args.trace}")
-    for name, value in out.metrics.items():
+    for name, unit in units.items():
         note = out.notes.get(name)
-        print(f"  {name:36} {value:14.6g} {units[name][0]:8}" + (f" ({note})" if note else ""))
+        print(f"  {name:36} {out.metrics[name]:14.6g} {unit:8}" + (f" ({note})" if note else ""))
     print(f"  error_rate {out.failed / out.attempted:.6g} ({out.failed} of {out.attempted} operations failed)")
     for name, digest in out.digests.items():
         print(f"  digest.{name} {digest}")
@@ -116,7 +123,7 @@ def main(argv=None) -> int:
         "correct": out.failed == 0,
         "attempted": out.attempted,
         "failed": out.failed,
-        "metrics": {name: {"value": value, "unit": units[name][0]} for name, value in out.metrics.items()},
+        "metrics": {name: {"value": out.metrics[name], "unit": unit} for name, unit in units.items()},
     }
     print(json.dumps(result), flush=True)
     return 0 if out.failed == 0 else 1

@@ -5,6 +5,9 @@ names each module looks up in another (the index methods, the distance
 kernels bound in the index and exact modules, the evaluation and persistence
 entry points) with wrappers that record a span per call. Nothing under
 ``src/`` is edited; leaving the block restores every original object.
+``Dataset.row_of`` is called ~300 times per query, so a wrapper on it would
+inflate the query's own time: `counted_row_of()` counts its calls in a pass
+of its own instead.
 
 A span records its name, start, end, the span that caused it (its parent),
 the request it belongs to (the root span's id), the benchmark phase that was
@@ -70,12 +73,6 @@ class Tracer:
             observe(span.attrs, args, result)
         return result
 
-    def count(self, name: str) -> None:
-        """Count an event against the innermost open span (ignored outside spans)."""
-        if self._stack:
-            attrs = self._stack[-1].attrs
-            attrs[name] = attrs.get(name, 0) + 1
-
 
 def _observe_candidates(attrs, args, result):
     unique, members = result
@@ -112,14 +109,7 @@ def _patches(tracer: Tracer):
     def traced_build(cls):
         return classmethod(traced("lsh.build", cls.__dict__["build"].__func__))
 
-    row_of = dataset.Dataset.row_of
-
-    def counted_row_of(self, vector_id):
-        tracer.count("row_of")
-        return row_of(self, vector_id)
-
     out = [(dataset, "load_dataset", traced("dataset.load_dataset", dataset.load_dataset))]
-    out.append((dataset.Dataset, "row_of", counted_row_of))
     for cls in (binary_lsh.BinaryLshIndex, real_lsh.RealLshIndex):
         out.append((cls, "build", traced_build(cls)))
         out.append((cls, "candidates", traced("lsh.candidates", cls.candidates, _observe_candidates)))
@@ -141,53 +131,43 @@ def _patches(tracer: Tracer):
 
 
 @contextmanager
-def installed(tracer: Tracer):
-    """Trace every wrapped name inside the block; restore the originals after."""
+def _patched(patches):
+    """Install (owner, attribute, replacement) triples; restore the originals after."""
     saved = []
     try:
-        for owner, attr, replacement in _patches(tracer):
+        for owner, attr, replacement in patches:
             saved.append((owner, attr, owner.__dict__[attr]))
             setattr(owner, attr, replacement)
-        yield tracer
+        yield
     finally:
         for owner, attr, original in reversed(saved):
             setattr(owner, attr, original)
 
 
+@contextmanager
+def installed(tracer: Tracer):
+    """Trace every wrapped name inside the block."""
+    with _patched(_patches(tracer)):
+        yield tracer
+
+
+@contextmanager
+def counted_row_of():
+    """Count ``Dataset.row_of`` calls inside the block; yields a one-item list."""
+    calls = [0]
+    row_of = dataset.Dataset.row_of
+
+    def counting(self, vector_id):
+        calls[0] += 1
+        return row_of(self, vector_id)
+
+    with _patched([(dataset.Dataset, "row_of", counting)]):
+        yield calls
+
+
 # ---------------------------------------------------------------------------
 # per-layer metrics
 # ---------------------------------------------------------------------------
-
-# name -> (unit, better); the order is the order they are printed in
-LAYER_METRICS = {
-    "dataset.load_s": ("s", "lower"),
-    "dataset.row_of.calls": ("count", "lower"),
-    "lsh.build_s": ("s", "lower"),
-    "lsh.candidates_ms": ("ms", "lower"),
-    "lsh.query_self_ms": ("ms", "lower"),
-    "lsh.candidates_per_query": ("count", "lower"),
-    "lsh.bucket_members_per_query": ("count", "lower"),
-    "lsh.unique_ratio": ("ratio", "higher"),
-    "distances.distances_to_ms": ("ms", "lower"),
-    "distances.rows_scored": ("count", "lower"),
-    "distances.rank_top_k_ms": ("ms", "lower"),
-    "distances.useful_ratio": ("ratio", "higher"),
-    "distances.scan_distances_to_ms": ("ms", "lower"),
-    "exact.knn_exact_self_ms": ("ms", "lower"),
-    "evaluation.cell_s": ("s", "lower"),
-    "evaluation.run_config_self_s": ("s", "lower"),
-    "evaluation.bucket_statistics_s": ("s", "lower"),
-    "evaluation.buckets_counted": ("count", "lower"),
-    "evaluation.empty_candidate_queries": ("count", "lower"),
-    "persistence.save_s": ("s", "lower"),
-    "persistence.load_s": ("s", "lower"),
-    "persistence.fingerprint_s": ("s", "lower"),
-    "persistence.snapshot_bytes": ("bytes", "lower"),
-    "persistence.buckets": ("count", "lower"),
-    "trace.overhead_s": ("s", "lower"),
-    "trace.spans": ("count", "lower"),
-}
-
 
 def _mean(values) -> float:
     values = list(values)
@@ -201,7 +181,8 @@ def _median(values) -> float:
 
 def layer_metrics(tracer: Tracer, extra: dict) -> dict[str, float]:
     """Per-layer numbers from the spans, plus the counts the workload measured
-    itself (snapshot bytes, buckets, tracing overhead) passed in ``extra``."""
+    itself (row_of calls per query, snapshot bytes, buckets, tracing
+    overhead) passed in ``extra``."""
     spans = tracer.spans
     by_name: dict[str, list[Span]] = {}
     for s in spans:
@@ -218,7 +199,7 @@ def layer_metrics(tracer: Tracer, extra: dict) -> dict[str, float]:
     cands = named("lsh.candidates", parents=qids)
     dists = named("distances.distances_to", parents=qids)
     ranks = named("distances.rank_top_k", parents=qids)
-    scans = named("exact.knn_exact", "scans")
+    scans = named("exact.knn_exact", "scan")
     cells = named("evaluation.run_config", "sweep")
     stats = named("evaluation.bucket_statistics", "sweep")
     unique = sum(s.attrs["unique"] for s in cands)
@@ -227,7 +208,7 @@ def layer_metrics(tracer: Tracer, extra: dict) -> dict[str, float]:
     ms = 1e3
     return {
         "dataset.load_s": _median(s.duration for s in named("dataset.load_dataset", "setup")),
-        "dataset.row_of.calls": _mean(s.attrs.get("row_of", 0) for s in queries),
+        "dataset.row_of.calls": extra["row_of_calls"],
         "lsh.build_s": _median(s.duration for s in named("lsh.build", "build")),
         "lsh.candidates_ms": ms * _mean(s.duration for s in cands),
         "lsh.query_self_ms": ms * _mean(s.self_time for s in queries),
@@ -239,7 +220,7 @@ def layer_metrics(tracer: Tracer, extra: dict) -> dict[str, float]:
         "distances.rank_top_k_ms": ms * _mean(s.duration for s in ranks),
         "distances.useful_ratio": sum(s.attrs["returned"] for s in ranks) / rows if rows else 0.0,
         "distances.scan_distances_to_ms": ms * _mean(
-            s.duration for s in named("distances.distances_to", "scans", {s.id for s in scans})
+            s.duration for s in named("distances.distances_to", "scan", {s.id for s in scans})
         ),
         "exact.knn_exact_self_ms": ms * _mean(s.self_time for s in scans),
         "evaluation.cell_s": _mean(s.duration for s in cells),
@@ -247,10 +228,10 @@ def layer_metrics(tracer: Tracer, extra: dict) -> dict[str, float]:
         "evaluation.bucket_statistics_s": _mean(s.duration for s in stats),
         "evaluation.buckets_counted": _mean(s.attrs["buckets"] for s in stats),
         "evaluation.empty_candidate_queries": _mean(s.attrs["empty"] for s in cells),
-        "persistence.save_s": _median(s.duration for s in named("persistence.save_index", "persist")),
-        "persistence.load_s": _median(s.duration for s in named("persistence.load_index", "persist")),
+        "persistence.save_s": _median(s.duration for s in named("persistence.save_index", "save")),
+        "persistence.load_s": _median(s.duration for s in named("persistence.load_index", "load")),
         "persistence.fingerprint_s": _median(
-            s.duration for s in named("persistence.dataset_fingerprint", "persist")
+            s.duration for s in named("persistence.dataset_fingerprint")
         ),
         "persistence.snapshot_bytes": extra["snapshot_bytes"],
         "persistence.buckets": extra["buckets"],

@@ -1,37 +1,48 @@
-"""The three workloads and the rounds they run.
+"""The two workloads and the rounds they run.
 
-A run first writes its inputs as an fvec file, loads them, builds the served
-index and warms it up with untimed queries. Then it repeats *rounds* until
-``--seconds`` have passed (at least ``Spec.min_rounds``). One round takes one
-slice of every operation a user performs:
+A run writes its inputs as an fvec file and loads them, builds the served
+index, checks two exact scans against a numpy brute-force ranking and warms
+the index up with untimed queries, whose answers are the reference for every
+later check. Then it drops its own copy of the vectors and repeats rounds. A
+round runs the workload's steps (``Spec.steps``) in order, with one slice of
+the round's chunk of closed-loop member queries (k+1, self dropped) before
+each step:
 
-  setup    load_dataset of the fvec file + values64
-  build    one more build of the served index (timed, then dropped)
-  scans    the next chunk of knn_exact scans, the IE reference
-  sweep    parameter_sweep over the workload's (L, K) grid
-  persist  save_index, then load_index and queries on the loaded index
-  queries  the next chunk of closed-loop member queries (k+1, self dropped),
-           cut into slices that run between the steps above
+  setup  load_dataset of the fvec file + values64
+  build  one more build of the served index (timed, then dropped)
+  save   save_index of the served index
+  load   load_index, then 200 queries on the loaded index
+  scan   one knn_exact scan, the IE reference
+  sweep  parameter_sweep over the workload's (L, K) grid
 
-Setup, build, save and load run at the start of a round until each has
-taken STEP_SECONDS, and again at its end until each has taken twice that;
-the sweep runs once, in the middle. So a short operation gets several
-samples per round, from two moments, and a long one gets one.
+Every end-to-end metric is reported on every workload, so each workload also
+takes a sample or two of the others' operations; it spends most of a round on
+its own. Round 0 always runs to its end (its answers are the digested ones);
+after it, the run stops at the first step that begins once ``--seconds`` have
+passed.
 
-Interleaving the operations spreads each metric's samples over the whole
-run, so a slow second on a shared machine lands on every metric a little
-instead of on one metric entirely; every metric is the median (or
-percentile) of its samples. A workload differs from the others in its inputs
-and in how much of each slice it takes; README.md says why.
+On a shared host everything a process runs gets slower or faster together,
+by up to a half, in phases that last from seconds to minutes. So the round
+also times ``_reference_work``, a fixed loop of the benchmark's own (dict
+building and lookups, matrix-vector products and argsorts, like the
+library's mix), before each step and at its end, keeping the median of three
+calls. Every timing sample is rescaled by REFERENCE_SECONDS over the mean of
+the reference times just before and just after it: the end-to-end timings
+are seconds on a host that runs the reference loop in REFERENCE_SECONDS. A
+change to the library moves them as it moves wall time; the host's phase
+does not.
 
-A traced run does round 0 three times: untraced to warm up, untraced, and
-traced. The answers must agree, and the difference in wall time between the
-last two is the tracing overhead.
+A traced run does round 0 five times: untraced to warm up, then untraced,
+traced, traced, untraced. The answers must agree, and half the traced minus
+untraced wall time of the last four is the tracing overhead, which this
+order keeps free of a steady drift in the host's speed. A last pass counts
+``Dataset.row_of`` calls over the round's queries, with no other wrapper in
+place.
 """
 
 from __future__ import annotations
 
-import functools
+import bisect
 import hashlib
 import os
 import resource
@@ -47,30 +58,14 @@ import tracing
 from checks import Digest, answer_problems, oracle_problems, percentile
 
 K = 10
-MIN_ROUNDS = 2
-MIN_SCANS = 20  # so that scan_p50_ms has 10 samples beyond it
-STEP_SECONDS = 0.5
-MAX_REPS = 8
+# about the median time of _reference_work on a shared 2-vCPU Intel Xeon
+# (2.0 GHz) virtual machine; any fixed value would do, this one keeps the
+# rescaled timings close to wall time there
+REFERENCE_SECONDS = 0.006
 WARMUP_QUERIES = 500
 ORACLE_SCANS = 2
 CHECK_QUERIES = 200
 SWEEP_QUERIES = 100  # one per class for the first 100 classes
-
-# name -> (unit, better); the order is the order they are printed in
-END_TO_END = {
-    "setup_s": ("s", "lower"),
-    "build_s": ("s", "lower"),
-    "query_p50_ms": ("ms", "lower"),
-    "query_p99_ms": ("ms", "lower"),
-    "queries_per_s": ("1/s", "higher"),
-    "scan_p50_ms": ("ms", "lower"),
-    "sweep_s": ("s", "lower"),
-    "save_s": ("s", "lower"),
-    "load_s": ("s", "lower"),
-    "map": ("fraction", "higher"),
-    "ie": ("ratio", "higher"),
-    "peak_rss_mb": ("MB", "lower"),
-}
 
 
 @dataclass(frozen=True)
@@ -84,35 +79,32 @@ class Spec:
     metric: str
     queries_per_class: int
     queries_per_round: int
-    scans_per_round: int
+    steps: tuple[str, ...]
     sweep_L: tuple[int, ...]
     sweep_K: tuple[int, ...]
     std: float = 1.0
     w: float = 4.0
 
-    @property
-    def min_rounds(self) -> int:
-        return max(MIN_ROUNDS, -(-MIN_SCANS // self.scans_per_round))
-
 
 WORKLOADS = {
     # query path: ~310 candidates per query through candidates, row_of,
-    # cosine distances_to and rank_top_k
-    "serve": Spec(1000, 100, 128, "binary", 10, 12, "cosine", 5, 1000, 7, (1, 2, 4), (12,)),
-    # tuning loop: exact cosine scans and the 4x3 grid at 20k x 128; the
+    # cosine distances_to and rank_top_k; builds are its other own step
+    "serve": Spec(1000, 100, 128, "binary", 10, 12, "cosine", 5, 2400,
+                  ("build", "setup", "scan", "save", "scan", "load", "build", "setup", "scan", "sweep", "scan"),
+                  (1,), (12,)),
+    # tuning loop: the 4x3 grid at 20k x 128 and 16 exact scans a round; the
     # served index is the grid's middle cell
-    "sweep": Spec(100, 200, 128, "real", 8, 3, "cosine", 50, 5000, 50, (2, 4, 8, 16), (2, 3, 4)),
-    # persistence: fingerprint, per-bucket codec, ~500k-bucket table rebuild;
-    # euclidean throughout, so a cosine-only change leaves it alone
-    "snapshot": Spec(1000, 100, 128, "real", 10, 4, "euclidean", 10, 10000, 10, (1, 2), (4,)),
+    "sweep": Spec(100, 200, 128, "real", 8, 3, "cosine", 50, 1200,
+                  ("sweep", *["scan"] * 8, "build", "setup", "save", "load", *["scan"] * 8,
+                   "build", "setup", "save", "load"),
+                  (2, 4, 8, 16), (2, 3, 4)),
 }
 
 
 def spec_for(workload: str, scale: str) -> Spec:
     spec = WORKLOADS[workload]
     if scale == "tiny":
-        return replace(spec, classes=100, per_class=25, dim=16, queries_per_class=10,
-                       queries_per_round=min(spec.queries_per_round, 1000))
+        return replace(spec, classes=100, per_class=25, dim=16, queries_per_class=10)
     return spec
 
 
@@ -157,257 +149,290 @@ class Outcome:
             self.problems.extend(problems)
 
 
-def _no_problems(_result) -> list[str]:
-    return []
-
-
 def _chunk(items, size: int, r: int) -> list:
     """The r-th chunk of ``size`` items, wrapping around the list."""
     return [items[(r * size + i) % len(items)] for i in range(size)]
 
 
 class Workload:
-    """One workload's state across rounds: the served index, the samples
-    taken so far, and the first answer seen for every query and scan."""
+    """One workload's state across rounds: the served index, the timing
+    samples in the order taken, and the first answer seen for every query and
+    scan."""
 
     def __init__(self, spec: Spec, seed: int, workdir: str):
         self.spec = spec
-        self.inputs = make_inputs(spec, seed)
         self.seed = seed
-        self.n = len(self.inputs.vectors)
+        inputs = make_inputs(spec, seed)
+        self.n = len(inputs.vectors)
+        self.label_ids = inputs.label_ids
+        self.members = inputs.members
+        self.query_ids = inputs.query_ids
+        # only the query vectors outlive set-up, so peak_rss_mb is the library's
+        self.qvec = {qid: inputs.vectors[qid].copy() for qid in self.query_ids}
         self.fvec = os.path.join(workdir, "data.fvec")
         self.snapshot = os.path.join(workdir, "index.snapshot")
         self.out = Outcome()
-        self.samples: dict[str, list[float]] = {}
+        # (sample name, durations) in the order they were taken
+        self.timeline: list[tuple[str, list[float]]] = []
+        self.reference_rows = np.random.default_rng(0).standard_normal((2000, 128))
         self.answers: dict[int, tuple] = {}
         self.scan_answers: dict[int, tuple] = {}
         self.csv = None
         self.tracer = None
-        self.round_spent: dict[str, float] = {}
         dataset.save_dataset(
             dataset.Dataset(spec.dim, [f"class_{c:04d}" for c in range(spec.classes)], np.arange(self.n),
-                            self.inputs.label_ids, self.inputs.vectors),
+                            inputs.label_ids, inputs.vectors),
             self.fvec,
         )
         self.ds = dataset.load_dataset(self.fvec)
-        self.index = self._build()
-        # the warm-up answers are the reference the loaded index is checked against
-        for qid in self.inputs.query_ids[:WARMUP_QUERIES]:
-            self.answers[qid] = self.index.query(self.inputs.vectors[qid], K + 1, spec.metric)
+        self.out.check([] if np.array_equal(self.ds.vectors, inputs.vectors)
+                       else ["the loaded fvec file differs from the vectors written"])
+        for qid in self._scan_ids(0)[:ORACLE_SCANS]:
+            q = self.qvec[qid]
+            results, stats = exact.knn_exact(self.ds, q, K + 1, spec.metric)
+            self.scan_answers[qid] = (results, stats)
+            self.out.check(answer_problems(qid, results, stats) + oracle_problems(
+                qid, results, inputs.vectors, np.arange(self.n), q, spec.metric))
+        del inputs
+        self.index = self._new_index()
+        for qid in self.query_ids[:WARMUP_QUERIES]:
+            self.answers[qid] = self.index.query(self.qvec[qid], K + 1, spec.metric)
+
+    def _scan_ids(self, r: int) -> list[int]:
+        return _chunk(self.query_ids, self.spec.steps.count("scan"), r)
 
     def _phase(self, name: str) -> None:
         if self.tracer is not None:
             self.tracer.phase = name
 
-    def _time(self, name: str, fn, *args, **kwargs):
+    def _timed(self, name: str, fn, *args, **kwargs):
+        self._phase(name)
         t0 = perf_counter()
         result = fn(*args, **kwargs)
-        self.samples.setdefault(name, []).append(perf_counter() - t0)
+        self.timeline.append((name, [perf_counter() - t0]))
         return result
 
-    def _repeat(self, phase: str, name: str, fn, check, until: float) -> None:
-        """Time and check ``fn()`` until the round has spent ``until`` seconds
-        on ``name`` (or MAX_REPS calls), so a short operation gets more samples."""
-        self._phase(phase)
-        for _ in range(MAX_REPS):
-            if self.round_spent.get(name, 0.0) >= until:
-                break
-            t0 = perf_counter()
-            result = fn()
-            elapsed = perf_counter() - t0
-            self.samples.setdefault(name, []).append(elapsed)
-            self.round_spent[name] = self.round_spent.get(name, 0.0) + elapsed
-            self.out.check(check(result))
-            del result  # free it before the next call allocates another
-
-    def _build(self):
+    def round(self, r: int, deadline: float = float("inf")) -> float:
+        """Run round ``r``, or its steps that begin before ``deadline``;
+        returns its wall time."""
         s = self.spec
-        if s.kind == "binary":
-            return binary_lsh.BinaryLshIndex.build(self.ds, binary_lsh.BinaryLshParams(s.L, s.K, self.seed))
-        return real_lsh.RealLshIndex.build(self.ds, real_lsh.RealLshParams(s.L, s.K, s.w, self.seed))
-
-    @staticmethod
-    def _same_as_before(seen: dict, qid: int, answer) -> list[str]:
-        first = seen.setdefault(qid, answer)
-        return [] if answer == first else [f"query {qid}: answer differs from its first answer"]
-
-    def round(self, r: int) -> float:
-        """Run round ``r``; returns its wall time.
-
-        The round's query chunk is cut into slices, one before each other
-        step, so queries sample the whole round rather than one second of it.
-        """
-        s = self.spec
-        self.round_spent = {}
-
-        def light(until):
-            return [
-                functools.partial(self._repeat, "setup", "setup_s", self._load_dataset, self._check_dataset, until),
-                functools.partial(self._repeat, "build", "build_s", self._build, _no_problems, until),
-                functools.partial(self._repeat, "persist", "save_s", self._save, _no_problems, until),
-                functools.partial(self._repeat, "persist", "load_s", self._load, self._check_loaded, until),
-            ]
-
-        scans = [functools.partial(self._scan, qid, r == 0 and i < ORACLE_SCANS)
-                 for i, qid in enumerate(_chunk(self.inputs.query_ids, s.scans_per_round, r))]
-        half = len(scans) // 2
-        sweep = functools.partial(self._repeat, "sweep", "sweep_s", self._sweep, self._check_sweep, STEP_SECONDS)
-        # the light operations get STEP_SECONDS at the start of the round and
-        # as much again at its end, so their samples come from two moments
-        # several seconds apart; one that took that long already is skipped
-        steps = light(STEP_SECONDS) + scans[:half] + [sweep] + scans[half:] + light(2 * STEP_SECONDS)
-        queries = _chunk(self.inputs.query_ids, s.queries_per_round, r)
-        cuts = np.linspace(0, len(queries), len(steps) + 1).astype(int)
+        scans = iter(self._scan_ids(r))
+        queries = _chunk(self.query_ids, s.queries_per_round, r)
+        cuts = np.linspace(0, len(queries), len(s.steps) + 1).astype(int)
         start = perf_counter()
-        for step, lo, hi in zip(steps, cuts, cuts[1:]):
+        for step, lo, hi in zip(s.steps, cuts, cuts[1:]):
+            if perf_counter() >= deadline:
+                break
             self._queries(queries[lo:hi])
-            step()
+            self._reference()
+            if step == "scan":
+                self._scan(next(scans))
+            else:
+                getattr(self, "_" + step)()
+        self._reference()
         return perf_counter() - start
+
+    def _reference(self) -> None:
+        """Time the reference loop three times and keep the median."""
+        times = []
+        for _ in range(3):
+            t0 = perf_counter()
+            self._reference_work()
+            times.append(perf_counter() - t0)
+        self.timeline.append(("reference", [statistics.median(times)]))
+
+    def _reference_work(self) -> int:
+        """A fixed loop, unrelated to lshkit, that measures the host's speed."""
+        table = {i: i for i in range(30000)}
+        total = sum(table[i] for i in range(0, 30000, 2))
+        rows = self.reference_rows
+        for i in range(16):
+            total += int(np.argsort(rows @ rows[i])[0])
+        return total
+
+    def _setup(self) -> None:
+        ds = self._timed("setup", self._load_dataset)
+        self.out.check([] if len(ds) == self.n else [f"loaded {len(ds)} vectors, wrote {self.n}"])
 
     def _load_dataset(self):
         ds = dataset.load_dataset(self.fvec)
         ds.values64  # the cached float64 copy every distance kernel reads
         return ds
 
-    def _check_dataset(self, ds) -> list[str]:
-        return [] if len(ds) == self.n else [f"loaded {len(ds)} vectors, wrote {self.n}"]
+    def _new_index(self):
+        s = self.spec
+        if s.kind == "binary":
+            return binary_lsh.BinaryLshIndex.build(self.ds, binary_lsh.BinaryLshParams(s.L, s.K, self.seed))
+        return real_lsh.RealLshIndex.build(self.ds, real_lsh.RealLshParams(s.L, s.K, s.w, self.seed))
+
+    def _build(self) -> None:
+        self._timed("build", self._new_index)
+        self.out.check([])
+
+    def _save(self) -> None:
+        self._timed("save", persistence.save_index, self.index, self.snapshot)
+        self.out.check([] if os.path.getsize(self.snapshot) > 0 else ["save_index wrote an empty file"])
+
+    def _load(self) -> None:
+        """The loaded index must answer the first queries exactly as the built one."""
+        loaded = self._timed("load", persistence.load_index, self.snapshot, self.ds)
+        self.out.check([
+            f"query {qid}: loaded index answers differently"
+            for qid in self.query_ids[:CHECK_QUERIES]
+            if loaded.query(self.qvec[qid], K + 1, self.spec.metric) != self.answers[qid]
+        ])
+
+    @staticmethod
+    def _same_as_before(seen: dict, key, answer) -> list[str]:
+        first = seen.setdefault(key, answer)
+        return [] if answer == first else [f"{key}: answer differs from its first answer"]
 
     def _queries(self, qids) -> None:
         self._phase("queries")
-        latencies = self.samples.setdefault("query", [])
-        start = perf_counter()
+        latencies = []
+        self.timeline.append(("query", latencies))
         for qid in qids:
             t0 = perf_counter()
             try:
-                answer = self.index.query(self.inputs.vectors[qid], K + 1, self.spec.metric)
+                answer = self.index.query(self.qvec[qid], K + 1, self.spec.metric)
             except Exception as exc:  # a raising query is a failed operation
                 latencies.append(perf_counter() - t0)
                 self.out.check([f"query {qid} raised {exc!r}"])
                 continue
             latencies.append(perf_counter() - t0)
             self.out.check(answer_problems(qid, *answer) + self._same_as_before(self.answers, qid, answer))
-        self.samples.setdefault("query_wall", []).append(perf_counter() - start)
 
-    def _scan(self, qid: int, with_oracle: bool) -> None:
-        self._phase("scans")
-        q = self.inputs.vectors[qid]
-        results, stats = self._time("scan", exact.knn_exact, self.ds, q, K + 1, self.spec.metric)
+    def _scan(self, qid: int) -> None:
+        results, stats = self._timed("scan", exact.knn_exact, self.ds, self.qvec[qid], K + 1, self.spec.metric)
         problems = answer_problems(qid, results, stats)
         if not stats.distance_computations == stats.candidates_examined == self.n:
             problems.append(f"scan {qid}: charged {stats}, expected {self.n} distance computations")
-        if with_oracle:
-            problems += oracle_problems(qid, results, self.inputs.vectors, np.arange(self.n), q, self.spec.metric)
         self.out.check(problems + self._same_as_before(self.scan_answers, qid, (results, stats)))
 
-    def _sweep(self):
+    def _sweep(self) -> None:
         s = self.spec
-        return evaluation.parameter_sweep(
-            self.ds, s.sweep_L, s.sweep_K, s.kind, query_ids=self.inputs.query_ids[:SWEEP_QUERIES],
-            w=s.w, seed=self.seed, k=K, metric=s.metric,
+        rows = self._timed(
+            "sweep", evaluation.parameter_sweep, self.ds, s.sweep_L, s.sweep_K, s.kind,
+            query_ids=self.query_ids[:SWEEP_QUERIES], w=s.w, seed=self.seed, k=K, metric=s.metric,
         )
-
-    def _check_sweep(self, rows) -> list[str]:
         text = evaluation.sweep_csv_text(rows)
         self.csv = self.csv or text
-        return [] if text == self.csv else ["sweep CSV differs from the first sweep"]
-
-    def _save(self) -> None:
-        persistence.save_index(self.index, self.snapshot)
-
-    def _load(self):
-        return persistence.load_index(self.snapshot, self.ds)
-
-    def _check_loaded(self, loaded) -> list[str]:
-        """The loaded index must answer the first queries exactly as the built one."""
-        return [
-            f"query {qid}: loaded index answers differently"
-            for qid in self.inputs.query_ids[:CHECK_QUERIES]
-            if loaded.query(self.inputs.vectors[qid], K + 1, self.spec.metric) != self.answers[qid]
-        ]
+        self.out.check([] if text == self.csv else ["sweep CSV differs from the first sweep"])
 
     def digests(self) -> None:
         """Digest what round 0 answered, which traced and untraced runs share."""
-        s, out = self.spec, self.out
+        out = self.out
         digest = Digest()
-        for qid in _chunk(self.inputs.query_ids, s.queries_per_round, 0):
+        for qid in _chunk(self.query_ids, self.spec.queries_per_round, 0):
             if qid in self.answers:  # else it raised, already counted as failed
                 digest.add_answer(qid, *self.answers[qid])
         out.digests["queries"] = digest.hexdigest()
         digest = Digest()
-        for qid in _chunk(self.inputs.query_ids, s.scans_per_round, 0):
+        for qid in self._scan_ids(0):
             digest.add_answer(qid, *self.scan_answers[qid])
         out.digests["scans"] = digest.hexdigest()
         out.digests["sweep"] = hashlib.sha256(self.csv.encode()).hexdigest()
 
     def accuracy(self) -> dict[str, float]:
-        """``map`` and ``ie`` over what the first ``min_rounds`` rounds asked,
-        which every untraced run asks whatever its length."""
-        s = self.spec
-        chunks = [_chunk(self.inputs.query_ids, s.queries_per_round, r) for r in range(s.min_rounds)]
+        """``map`` and ``ie`` over what round 0 asked, which every untraced
+        run asks whatever its length."""
         aps, cost = [], 0
-        for qid in dict.fromkeys(q for chunk in chunks for q in chunk):
+        for qid in dict.fromkeys(_chunk(self.query_ids, self.spec.queries_per_round, 0)):
             if qid not in self.answers:
                 continue
             results, stats = self.answers[qid]
             ranked = [rid for rid, _ in results if rid != qid][:K]
-            relevant = set(self.inputs.members[self.inputs.label_ids[qid]].tolist()) - {qid}
+            relevant = set(self.members[self.label_ids[qid]].tolist()) - {qid}
             aps.append(evaluation.average_precision(ranked, relevant))
             cost += max(1, stats.distance_computations)
         self.out.notes["map"] = f"{len(aps)} queries"
         return {"map": sum(aps) / len(aps), "ie": self.n * len(aps) / cost}
 
+    def timings(self) -> dict[str, float]:
+        """Medians and percentiles of the timing samples, each rescaled to the
+        reference host speed around it."""
+        refs = [(i, xs[0]) for i, (name, xs) in enumerate(self.timeline) if name == "reference"]
+        scaled: dict[str, list[float]] = {}
+        raw: dict[str, list[float]] = {}
+        for i, (name, xs) in enumerate(self.timeline):
+            if name == "reference" or not xs:
+                continue
+            at = bisect.bisect(refs, (i,))
+            around = [t for _, t in refs[max(0, at - 1):at + 1]]
+            factor = REFERENCE_SECONDS / statistics.fmean(around)
+            scaled.setdefault(name, []).extend(x * factor for x in xs)
+            raw.setdefault(name, []).extend(xs)
+        queries = scaled["query"]
+        p50, _ = percentile(queries, 50)
+        p99, beyond = percentile(queries, 99)
+        metrics = {
+            "setup_s": statistics.median(scaled["setup"]),
+            "build_s": statistics.median(scaled["build"]),
+            "query_p50_ms": 1e3 * p50,
+            "query_p99_ms": 1e3 * p99,
+            "queries_per_s": len(queries) / sum(queries),
+            "scan_ms": 1e3 * statistics.median(scaled["scan"]),
+            "sweep_s": statistics.median(scaled["sweep"]),
+            "save_s": statistics.median(scaled["save"]),
+            "load_s": statistics.median(scaled["load"]),
+        }
+        for metric, name in (("setup_s", "setup"), ("build_s", "build"), ("query_p50_ms", "query"),
+                             ("scan_ms", "scan"), ("sweep_s", "sweep"), ("save_s", "save"), ("load_s", "load")):
+            unit = 1e3 if metric.endswith("_ms") else 1.0
+            self.out.notes[metric] = (f"median of {len(raw[name])}; "
+                                      f"{unit * statistics.median(raw[name]):.6g} wall-clock")
+        self.out.notes["query_p99_ms"] = f"{len(queries)} queries, {beyond} beyond p99"
+        ref_ms = sorted(1e3 * t for _, t in refs)
+        self.out.notes["queries_per_s"] = (f"reference loop {ref_ms[0]:.2f}-{ref_ms[-1]:.2f} ms, "
+                                           f"median {statistics.median(ref_ms):.2f}, nominal "
+                                           f"{1e3 * REFERENCE_SECONDS:g}")
+        return metrics
+
 
 def run(workload: str, seed: int, seconds: float, trace: bool, workdir: str, scale: str = "full") -> Outcome:
     w = Workload(spec_for(workload, scale), seed, workdir)
-    out = w.out
     if trace:
-        w.round(0)  # warm-up: first calls allocate and fault in more than later ones
-        untraced = w.round(0)
-        w.tracer = tracing.Tracer()
-        with tracing.installed(w.tracer):
-            traced = w.round(0)
-        w.digests()
-        out.metrics = tracing.layer_metrics(
-            w.tracer,
-            {"snapshot_bytes": os.path.getsize(w.snapshot),
-             "buckets": evaluation.bucket_statistics(w.index).num_buckets,
-             "overhead_s": traced - untraced},
-        )
-        out.notes["trace.overhead_s"] = f"traced round {traced:.3f} s, untraced round {untraced:.3f} s"
-        return out
-
+        return _traced(w)
     start = perf_counter()
-    rounds = 0
-    while rounds < w.spec.min_rounds or perf_counter() - start < seconds:
-        w.round(rounds)
-        rounds += 1
-    elapsed = perf_counter() - start
+    w.round(0)
+    r = 1
+    while perf_counter() - start < seconds:
+        w.round(r, start + seconds)
+        r += 1
     w.digests()
-    accuracy = w.accuracy()
-    sm = w.samples
-    p50, _ = percentile(sm["query"], 50)
-    p99, beyond = percentile(sm["query"], 99)
-    scan50, _ = percentile(sm["scan"], 50)
-    out.metrics = {
-        "setup_s": statistics.median(sm["setup_s"]),
-        "build_s": statistics.median(sm["build_s"]),
-        "query_p50_ms": 1e3 * p50,
-        "query_p99_ms": 1e3 * p99,
-        "queries_per_s": len(sm["query"]) / sum(sm["query_wall"]),
-        "scan_p50_ms": 1e3 * scan50,
-        "sweep_s": statistics.median(sm["sweep_s"]),
-        "save_s": statistics.median(sm["save_s"]),
-        "load_s": statistics.median(sm["load_s"]),
-        **accuracy,
+    w.out.metrics = {
+        **w.timings(),
+        **w.accuracy(),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
-    out.notes.update({
-        "setup_s": f"median of {len(sm['setup_s'])}",
-        "build_s": f"median of {len(sm['build_s'])}",
-        "query_p99_ms": f"{len(sm['query'])} queries, {beyond} beyond p99",
-        "scan_p50_ms": f"{len(sm['scan'])} scans",
-        "sweep_s": f"median of {len(sm['sweep_s'])} sweeps of {len(w.spec.sweep_L) * len(w.spec.sweep_K)} cells",
-        "load_s": f"median of {len(sm['load_s'])} loads of {os.path.getsize(w.snapshot)} bytes",
-        "peak_rss_mb": f"{rounds} rounds in {elapsed:.1f} s",
-    })
-    return out
+    w.out.notes["peak_rss_mb"] = f"{r} rounds in {perf_counter() - start:.1f} s"
+    return w.out
+
+
+def _traced(w: Workload) -> Outcome:
+    w.round(0)  # warm-up: first calls allocate and fault in more than later ones
+    tracer = tracing.Tracer()
+    walls = []
+    for traced in (False, True, True, False):
+        if not traced:
+            walls.append(w.round(0))
+            continue
+        w.tracer = tracer
+        with tracing.installed(tracer):
+            walls.append(w.round(0))
+        w.tracer = None
+    queries = _chunk(w.query_ids, w.spec.queries_per_round, 0)
+    with tracing.counted_row_of() as calls:
+        w._queries(queries)
+    w.digests()
+    overhead = (walls[1] + walls[2] - walls[0] - walls[3]) / 2
+    w.out.metrics = tracing.layer_metrics(
+        tracer,
+        {"row_of_calls": calls[0] / len(queries),
+         "snapshot_bytes": os.path.getsize(w.snapshot),
+         "buckets": evaluation.bucket_statistics(w.index).num_buckets,
+         "overhead_s": overhead},
+    )
+    w.out.notes["trace.overhead_s"] = "rounds untraced, traced, traced, untraced: " + ", ".join(
+        f"{t:.3f} s" for t in walls)
+    return w.out
