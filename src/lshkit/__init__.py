@@ -30,7 +30,6 @@ from .evaluation import (
     class_reports_json_lines,
     compute_bucket_stats,
     distractor_contamination,
-    evaluate_config,
     improvement_in_efficiency,
     mean_average_precision,
     parameter_sweep,
@@ -81,7 +80,6 @@ __all__ = [
     "compute_bucket_stats",
     "dataset_fingerprint",
     "distractor_contamination",
-    "evaluate_config",
     "generate_synthetic",
     "hyperplane_bit",
     "improvement_in_efficiency",

@@ -13,9 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .distances import as_query, check_metric, distances_to, rank_top_k
-from .exact import QueryStats
-from .real_lsh import STREAM_BINARY, child_rng
+# the query path lives in real_lsh.LshIndex; the kernels stay importable
+# here for code that wraps this module's names
+from .distances import as_query, distances_to, rank_top_k  # noqa: F401
+from .real_lsh import STREAM_BINARY, LshIndex, child_rng
+from .tables import BucketTable, build_tables
 
 MAX_SIGNATURE_BITS = 64
 
@@ -43,26 +45,27 @@ def hyperplane_bit(hyperplane, vector) -> int:
     return 1 if dot >= 0 else 0
 
 
-class BinaryLshIndex:
-    """Frozen after build: concurrent readers, no mutation."""
+class BinaryLshIndex(LshIndex):
+    """SimHash index: one K-bit signature key per table."""
 
     kind = "binary"
+    _key_of = staticmethod(lambda words: words[0])
+    # own attributes, as in RealLshIndex
+    candidates = LshIndex.candidates
+    query = LshIndex.query
 
     def __init__(
         self,
         params: BinaryLshParams,
         dim: int,
         hyperplanes: np.ndarray,
-        tables: list[dict[int, list[int]]],
+        tables: list[BucketTable],
         dataset: Dataset,
     ):
-        self.params = params
-        self.dim = dim
+        super().__init__(params, dim, tables, dataset)
         self.hyperplanes = np.ascontiguousarray(hyperplanes, dtype=np.float32).reshape(
             params.L, params.K, dim
         )
-        self.tables = tables
-        self.dataset = dataset
         self._planes64 = self.hyperplanes.reshape(params.L * params.K, dim).astype(np.float64)
         # most-significant-first bit weights: slot 0 occupies the top bit
         self._weights = np.array([1 << (params.K - 1 - j) for j in range(params.K)], dtype=np.uint64)
@@ -77,22 +80,15 @@ class BinaryLshIndex:
                 rng = child_rng(params.seed, STREAM_BINARY, t, j)
                 planes[t, j] = rng.standard_normal(ds.dim).astype(np.float32)
         index = cls(params, ds.dim, planes, [], ds)
-        keys = index._signatures_for(ds.values64)
-        tables: list[dict[int, list[int]]] = []
-        for t in range(params.L):
-            table: dict[int, list[int]] = {}
-            for row, key in enumerate(keys[:, t].tolist()):
-                table.setdefault(key, []).append(int(ds.ids[row]))
-            tables.append(table)
-        index.tables = tables
+        index.bucket_tables = build_tables(index._table_keys(ds.values64))
         return index
 
-    def _signatures_for(self, values64: np.ndarray) -> np.ndarray:
-        """(n, L) array of K-bit signatures for a float64 batch."""
+    def _table_keys(self, values64: np.ndarray) -> np.ndarray:
+        """(n, L, 1) array of K-bit signatures for a float64 batch."""
         L, K = self.params.L, self.params.K
         proj = np.einsum("nd,kd->nk", values64, self._planes64)
         bits = (proj >= 0).astype(np.uint64).reshape(-1, L, K)
-        return (bits * self._weights).sum(axis=2, dtype=np.uint64)
+        return (bits * self._weights).sum(axis=2, dtype=np.uint64)[..., None]
 
     def hyperplane(self, table_index: int, slot: int) -> np.ndarray:
         return self.hyperplanes[table_index, slot]
@@ -100,34 +96,7 @@ class BinaryLshIndex:
     def signature(self, table_index: int, vector) -> int:
         """K-bit signature of ``vector`` under table ``table_index``,
         packed most-significant-bit-first."""
-        if not 0 <= table_index < self.params.L:
-            raise ValueError(f"table_index {table_index} out of range for L={self.params.L}")
-        qv = as_query(vector, self.dim).astype(np.float64)
-        return int(self._signatures_for(qv.reshape(1, -1))[0, table_index])
-
-    def candidates(self, q) -> tuple[np.ndarray, int]:
-        """Deduplicated candidate ids plus the multiset bucket-member count."""
-        qv = as_query(q, self.dim).astype(np.float64)
-        keys = self._signatures_for(qv.reshape(1, -1))[0]
-        gathered: list[int] = []
-        for t, table in enumerate(self.tables):
-            gathered.extend(table.get(int(keys[t]), ()))
-        unique = np.unique(np.asarray(gathered, dtype=np.int64))
-        return unique, len(gathered)
-
-    def query(
-        self, q, k: int = 10, metric: str = "cosine"
-    ) -> tuple[list[tuple[int, float]], QueryStats]:
-        """Rank the union of the query's L buckets; same contract as the
-        real-valued index, with cosine as the natural default metric."""
-        check_metric(metric)
-        unique, multiset = self.candidates(q)
-        stats = QueryStats(distance_computations=multiset, candidates_examined=len(unique))
-        if len(unique) == 0:
-            return [], stats
-        rows = np.fromiter((self.dataset.row_of(i) for i in unique), dtype=np.int64, count=len(unique))
-        dists = distances_to(self.dataset.values64[rows], as_query(q, self.dim), metric)
-        return rank_top_k(unique, dists, k), stats
+        return self._vector_key(table_index, vector)
 
 
 def build_binary_index(ds: Dataset, params: BinaryLshParams) -> BinaryLshIndex:

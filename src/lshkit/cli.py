@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 
-from .binary_lsh import BinaryLshIndex, BinaryLshParams
 from .dataset import generate_synthetic, load_dataset, merge_datasets, save_dataset
 from .evaluation import (
     best_tradeoff,
@@ -20,6 +19,7 @@ from .evaluation import (
     class_metric_correlation,
     class_reports_json_lines,
     distractor_contamination,
+    make_index,
     read_class_metric_csv,
     run_config,
     select_queries,
@@ -27,7 +27,7 @@ from .evaluation import (
 )
 from .exact import knn_exact
 from .persistence import load_index, save_index
-from .real_lsh import DEFAULT_WIDTH, RealLshIndex, RealLshParams
+from .real_lsh import DEFAULT_WIDTH
 
 
 def _int_list(text: str) -> list[int]:
@@ -45,18 +45,18 @@ def _add_metric_k(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=10)
 
 
-def _build_index(kind: str, ds, L: int, K: int, w: float, seed: int):
-    if kind == "real":
-        return RealLshIndex.build(ds, RealLshParams(L=L, K=K, w=w, seed=seed))
-    if kind == "binary":
-        return BinaryLshIndex.build(ds, BinaryLshParams(L=L, K=K, seed=seed))
-    raise ValueError(f"unknown index kind {kind!r}")
+def _add_index_args(p: argparse.ArgumentParser, required: bool = False) -> None:
+    p.add_argument("--L", type=int, required=required)
+    p.add_argument("--K", type=int, required=required)
+    p.add_argument("--w", type=float, default=DEFAULT_WIDTH)
+    p.add_argument("--seed", type=int, required=required)
 
 
-def _require_index_args(args, kind: str) -> None:
+def _index_from_args(args, kind: str, ds):
     missing = [name for name in ("L", "K", "seed") if getattr(args, name) is None]
     if missing:
         raise ValueError(f"--{', --'.join(missing)} required for index kind {kind!r}")
+    return make_index(kind, ds, args.L, args.K, args.w, args.seed)
 
 
 def _query_json(query_id: int, k: int, metric: str, results, stats) -> str:
@@ -83,7 +83,7 @@ def cmd_gen(args) -> int:
 
 def cmd_build(args) -> int:
     ds = load_dataset(args.input)
-    index = _build_index(args.index, ds, args.L, args.K, args.w, args.seed)
+    index = _index_from_args(args, args.index, ds)
     save_index(index, args.out)
     print(f"wrote {args.out}: {args.index} index, L={args.L} K={args.K}", file=sys.stderr)
     return 0
@@ -150,8 +150,7 @@ def cmd_stats(args) -> int:
     else:
         if args.index is None:
             raise ValueError("either --snapshot or --index with --L/--K/--seed is required")
-        _require_index_args(args, args.index)
-        index = _build_index(args.index, ds, args.L, args.K, args.w, args.seed)
+        index = _index_from_args(args, args.index, ds)
     stats = bucket_statistics(index)
     print(json.dumps(stats.__dict__))
     return 0
@@ -162,8 +161,7 @@ def cmd_class_analysis(args) -> int:
     if args.backend == "exact":
         backend = "exact"
     else:
-        _require_index_args(args, args.backend)
-        backend = _build_index(args.backend, ds, args.L, args.K, args.w, args.seed)
+        backend = _index_from_args(args, args.backend, ds)
     reports = class_analysis(ds, backend, k=args.k, metric=args.metric)
     text = class_reports_json_lines(reports)
     if args.out:
@@ -191,8 +189,7 @@ def cmd_contamination(args) -> int:
     if args.backend == "exact":
         backend = merged
     else:
-        _require_index_args(args, args.backend)
-        backend = _build_index(args.backend, merged, args.L, args.K, args.w, args.seed)
+        backend = _index_from_args(args, args.backend, merged)
     print(distractor_contamination(backend, k=args.k, metric=args.metric))
     return 0
 
@@ -217,10 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build an index and save a snapshot")
     p.add_argument("--input", required=True)
     p.add_argument("--index", choices=("real", "binary"), required=True)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--K", type=int, required=True)
-    p.add_argument("--w", type=float, default=DEFAULT_WIDTH)
-    p.add_argument("--seed", type=int, required=True)
+    _add_index_args(p, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build)
 
@@ -258,19 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--snapshot", default=None, help="load this snapshot instead of building")
     p.add_argument("--index", choices=("real", "binary"), default=None)
-    p.add_argument("--L", type=int, default=None)
-    p.add_argument("--K", type=int, default=None)
-    p.add_argument("--w", type=float, default=DEFAULT_WIDTH)
-    p.add_argument("--seed", type=int, default=None)
+    _add_index_args(p)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("class-analysis", help="per-class AP analysis")
     p.add_argument("--input", required=True)
     p.add_argument("--backend", choices=("exact", "real", "binary"), default="exact")
-    p.add_argument("--L", type=int, default=None)
-    p.add_argument("--K", type=int, default=None)
-    p.add_argument("--w", type=float, default=DEFAULT_WIDTH)
-    p.add_argument("--seed", type=int, default=None)
+    _add_index_args(p)
     p.add_argument("--out", default=None, help="write JSON lines here instead of stdout")
     _add_metric_k(p)
     p.set_defaults(func=cmd_class_analysis)
@@ -284,10 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="the queried source (a)")
     p.add_argument("--distractor", required=True, help="the distractor source (b)")
     p.add_argument("--backend", choices=("exact", "real", "binary"), default="exact")
-    p.add_argument("--L", type=int, default=None)
-    p.add_argument("--K", type=int, default=None)
-    p.add_argument("--w", type=float, default=DEFAULT_WIDTH)
-    p.add_argument("--seed", type=int, default=None)
+    _add_index_args(p)
     _add_metric_k(p)
     p.set_defaults(func=cmd_contamination)
 

@@ -72,8 +72,11 @@ class Dataset:
             raise ValueError("ids, label_ids and vectors disagree on length")
         if n and ids.min() < 0:
             raise ValueError("vector ids must be non-negative")
-        if len(np.unique(ids)) != n:
-            raise ValueError("vector ids must be unique")
+        id_order = np.argsort(ids, kind="stable")
+        sorted_ids = ids[id_order]
+        repeated = sorted_ids[1:][sorted_ids[1:] == sorted_ids[:-1]]
+        if len(repeated):
+            raise ValueError(f"vector ids must be unique: duplicate id {repeated[0]}")
         if n and (label_ids.min() < 0 or label_ids.max() >= len(labels)):
             raise ValueError("label_id out of range of the label table")
         if not np.isfinite(vectors).all():
@@ -91,7 +94,9 @@ class Dataset:
         self.sources = sources
         for arr in (ids, label_ids, vectors) + ((sources,) if sources is not None else ()):
             arr.setflags(write=False)
-        self._row_of = {int(i): r for r, i in enumerate(ids)}
+        # id -> row lookup: binary search over the sorted ids
+        self._id_order = id_order
+        self._sorted_ids = sorted_ids
         self._values64: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -107,9 +112,19 @@ class Dataset:
 
     def row_of(self, vector_id: int) -> int:
         try:
-            return self._row_of[int(vector_id)]
-        except KeyError:
+            return int(self.rows_of([vector_id])[0])
+        except OverflowError:
             raise KeyError(f"no vector with id {vector_id}") from None
+
+    def rows_of(self, vector_ids) -> np.ndarray:
+        """Storage rows of the given ids; KeyError names the first unknown id."""
+        wanted = np.asarray(vector_ids, dtype=np.int64)
+        pos = np.searchsorted(self._sorted_ids, wanted)
+        found = pos < len(self._sorted_ids)
+        found[found] = self._sorted_ids[pos[found]] == wanted[found]
+        if not found.all():
+            raise KeyError(f"no vector with id {wanted[~found][0]}")
+        return self._id_order[pos]
 
     def label_of(self, vector_id: int) -> str:
         return self.labels[int(self.label_ids[self.row_of(vector_id)])]
@@ -159,8 +174,9 @@ def from_fvec_bytes(data: bytes) -> Dataset:
     """Parse the fvec wire format, reporting the byte offset of any defect."""
     if data[:4] != FVEC_MAGIC:
         raise DatasetFormatError("not an fvec file: bad magic at offset 0")
+    offset = 4
     try:
-        version, dim, label_count = struct.unpack_from("<HII", data, 4)
+        version, dim, label_count = struct.unpack_from("<HII", data, offset)
         offset = 14
         if version != FVEC_VERSION:
             raise DatasetFormatError(f"unsupported fvec version {version}")
@@ -174,10 +190,15 @@ def from_fvec_bytes(data: bytes) -> Dataset:
         offset += 8
     except struct.error as exc:
         raise DatasetFormatError(f"truncated fvec header near offset {offset}") from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"label at offset {offset} is not valid UTF-8") from exc
 
     if dim == 0:
         raise DatasetFormatError("fvec header declares dim=0")
-    dtype = _record_dtype(dim)
+    try:
+        dtype = _record_dtype(dim)
+    except ValueError:
+        raise DatasetFormatError(f"fvec header declares an unsupported dim={dim}") from None
     expected = count * dtype.itemsize
     body = data[offset:]
     if len(body) != expected:
@@ -188,17 +209,15 @@ def from_fvec_bytes(data: bytes) -> Dataset:
     ids = records["id"].astype(np.int64)
     label_ids = records["label_id"].astype(np.int64)
     vectors = records["values"].astype(np.float32)
+    return _checked_dataset(dim, labels, ids, label_ids, vectors)
 
-    bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
-    if bad.size:
-        raise DatasetFormatError(f"non-finite value in record {bad[0]}")
-    if count and len(np.unique(ids)) != count:
-        seen: set[int] = set()
-        for row, i in enumerate(ids):
-            if int(i) in seen:
-                raise DatasetFormatError(f"duplicate id {int(i)} in record {row}")
-            seen.add(int(i))
-    return Dataset(dim, labels, ids, label_ids, vectors)
+
+def _checked_dataset(dim, labels, ids, label_ids, vectors) -> Dataset:
+    """Dataset(...) for a parsed file, its ValueErrors reported as format errors."""
+    try:
+        return Dataset(dim, labels, ids, label_ids, vectors)
+    except (ValueError, OverflowError) as exc:
+        raise DatasetFormatError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +259,6 @@ def _read_csv(fh) -> Dataset:
     label_index: dict[str, int] = {}
     label_ids: list[int] = []
     values: list[list[np.float32]] = []
-    seen: set[int] = set()
     for row_no, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -252,9 +270,6 @@ def _read_csv(fh) -> Dataset:
             vid = int(row[0])
         except ValueError:
             raise DatasetFormatError(f"row {row_no}: malformed id {row[0]!r}") from None
-        if vid in seen:
-            raise DatasetFormatError(f"row {row_no}: duplicate id {vid}")
-        seen.add(vid)
         label = row[1]
         if label not in label_index:
             label_index[label] = len(labels)
@@ -270,7 +285,7 @@ def _read_csv(fh) -> Dataset:
         values.append(vals)
 
     vectors = np.array(values, dtype=np.float32).reshape(len(ids), dim)
-    return Dataset(dim, labels, np.array(ids, dtype=np.int64), np.array(label_ids, dtype=np.int64), vectors)
+    return _checked_dataset(dim, labels, ids, label_ids, vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +311,13 @@ def load_dataset(path: str | os.PathLike, fmt: str | None = None) -> Dataset:
     if fmt == "fvec":
         with open(path, "rb") as fh:
             return from_fvec_bytes(fh.read())
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        return _read_csv(fh)
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            return _read_csv(fh)
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"csv file is not valid UTF-8: {exc}") from exc
+    except csv.Error as exc:
+        raise DatasetFormatError(f"malformed csv: {exc}") from exc
 
 
 def save_dataset(ds: Dataset, path: str | os.PathLike, fmt: str | None = None) -> None:

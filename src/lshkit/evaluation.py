@@ -15,7 +15,7 @@ import json
 import os
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,6 +24,7 @@ from .binary_lsh import BinaryLshIndex, BinaryLshParams
 from .dataset import Dataset
 from .exact import knn_exact
 from .real_lsh import DEFAULT_WIDTH, RealLshIndex, RealLshParams, child_rng
+from .tables import label_majorities
 
 STREAM_HOLDOUT = 2
 
@@ -112,27 +113,28 @@ def compute_bucket_stats(bucket_label_groups: Iterable[Sequence]) -> BucketStats
     unweighted over buckets (each bucket counts once regardless of size).
     Standard deviations are population deviations. Empty groups are ignored.
     """
-    purities: list[float] = []
+    majorities: list[int] = []
     sizes: list[int] = []
     for labels in bucket_label_groups:
-        size = len(labels)
-        if size == 0:
-            continue
-        majority = max(Counter(labels).values())
-        purities.append(majority / size)
-        sizes.append(size)
-    if not sizes:
+        if len(labels):
+            majorities.append(max(Counter(labels).values()))
+            sizes.append(len(labels))
+    return _bucket_stats(np.asarray(majorities, dtype=np.int64), np.asarray(sizes, dtype=np.int64))
+
+
+def _bucket_stats(majorities: np.ndarray, sizes: np.ndarray) -> BucketStats:
+    """BucketStats from each non-empty bucket's majority-label count and size."""
+    if not len(sizes):
         return BucketStats(0.0, 0.0, 0, 0, 0.0, 0.0)
-    purities_arr = np.asarray(purities)
-    sizes_arr = np.asarray(sizes, dtype=np.float64)
-    num_items = int(sizes_arr.sum())
+    purities = majorities / sizes
+    num_items = int(sizes.sum())
     return BucketStats(
-        avg_purity=float(purities_arr.mean()),
-        std_purity=float(purities_arr.std()),
+        avg_purity=float(purities.mean()),
+        std_purity=float(purities.std()),
         num_buckets=len(sizes),
         num_items=num_items,
         avg_per_bucket=num_items / len(sizes),
-        std_per_bucket=float(sizes_arr.std()),
+        std_per_bucket=float(sizes.astype(np.float64).std()),
     )
 
 
@@ -141,14 +143,7 @@ def bucket_statistics(index: RealLshIndex | BinaryLshIndex) -> BucketStats:
 
     num_items comes out as n*L because every table holds every vector once.
     """
-    ds = index.dataset
-    label_by_id = {int(i): int(lab) for i, lab in zip(ds.ids, ds.label_ids)}
-    groups = (
-        [label_by_id[i] for i in bucket]
-        for table in index.tables
-        for bucket in table.values()
-    )
-    return compute_bucket_stats(groups)
+    return _bucket_stats(*label_majorities(index.bucket_tables, index.dataset.label_ids))
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +179,17 @@ def select_queries(
     if not queries:
         raise ValueError("dataset has no populated classes to draw queries from")
     return queries
+
+
+def make_index(
+    kind: str, ds: Dataset, L: int, K: int, w: float = DEFAULT_WIDTH, seed: int = 0
+) -> RealLshIndex | BinaryLshIndex:
+    """Build the ``kind`` ("real" or "binary") index; w is unused by "binary"."""
+    if kind == "real":
+        return RealLshIndex.build(ds, RealLshParams(L=L, K=K, w=w, seed=seed))
+    if kind == "binary":
+        return BinaryLshIndex.build(ds, BinaryLshParams(L=L, K=K, seed=seed))
+    raise ValueError(f"unknown index kind {kind!r}")
 
 
 def _backend_query(backend, ds: Dataset, q, k: int, metric: str):
@@ -224,21 +230,7 @@ class EvalReport:
     std_per_bucket: float
 
     def csv_row(self) -> str:
-        return ",".join(
-            str(v)
-            for v in (
-                self.L,
-                self.K,
-                self.mean_ap,
-                self.ie,
-                self.avg_purity,
-                self.std_purity,
-                self.num_buckets,
-                self.num_items,
-                self.avg_per_bucket,
-                self.std_per_bucket,
-            )
-        )
+        return ",".join(str(v) for v in astuple(self))
 
 
 @dataclass(frozen=True)
@@ -281,12 +273,7 @@ def run_config(
     if index_kind != "none" and (L is None or K is None):
         raise ValueError(f"L and K are required for index kind {index_kind!r}")
 
-    if index_kind == "real":
-        backend = RealLshIndex.build(ds, RealLshParams(L=L, K=K, w=w, seed=seed))
-    elif index_kind == "binary":
-        backend = BinaryLshIndex.build(ds, BinaryLshParams(L=L, K=K, seed=seed))
-    else:
-        backend = "exact"
+    backend = "exact" if index_kind == "none" else make_index(index_kind, ds, L, K, w, seed)
 
     n = len(ds)
     outcomes: list[QueryOutcome] = []
@@ -324,35 +311,8 @@ def run_config(
         ie = improvement_in_efficiency(
             sum(o.seq_cost for o in outcomes), sum(o.charged_cost for o in outcomes)
         )
-        stats_ = bucket_statistics(backend)
-        report = EvalReport(
-            L,
-            K,
-            mean_ap,
-            ie,
-            stats_.avg_purity,
-            stats_.std_purity,
-            stats_.num_buckets,
-            stats_.num_items,
-            stats_.avg_per_bucket,
-            stats_.std_per_bucket,
-        )
+        report = EvalReport(L, K, mean_ap, ie, *astuple(bucket_statistics(backend)))
     return report, outcomes
-
-
-def evaluate_config(
-    ds: Dataset,
-    held_out_queries: Sequence[int],
-    index_kind: str,
-    L: int | None = None,
-    K: int | None = None,
-    w: float = DEFAULT_WIDTH,
-    seed: int = 0,
-    k: int = 10,
-    metric: str = "cosine",
-) -> EvalReport:
-    report, _ = run_config(ds, held_out_queries, index_kind, L, K, w, seed, k, metric)
-    return report
 
 
 def parameter_sweep(
@@ -374,11 +334,11 @@ def parameter_sweep(
     if not L_values or not K_values:
         raise ValueError("L_values and K_values must be non-empty")
     if index_kind == "none":
-        raise ValueError("parameter_sweep needs an index kind; use evaluate_config for the baseline")
+        raise ValueError("parameter_sweep needs an index kind; use run_config for the baseline")
     if query_ids is None:
         query_ids = select_queries(ds, seed=seed)
     return [
-        evaluate_config(ds, query_ids, index_kind, L=L, K=K, w=w, seed=seed, k=k, metric=metric)
+        run_config(ds, query_ids, index_kind, L=L, K=K, w=w, seed=seed, k=k, metric=metric)[0]
         for L in L_values
         for K in K_values
     ]
@@ -543,13 +503,11 @@ def distractor_contamination(
         query_ids = [int(i) for i in ds.ids[ds.sources == 0]]
     if not query_ids:
         raise ValueError("no queries: the merged dataset has no source-a vectors")
-    source_by_id = {int(i): int(s) for i, s in zip(ds.ids, ds.sources)}
     search = "exact" if isinstance(backend, Dataset) else backend
     total = 0
     from_distractor = 0
     for qid in query_ids:
         results, _ = _backend_query(search, ds, ds.get(qid).values, k, metric)
-        for rid, _dist in results:
-            total += 1
-            from_distractor += source_by_id[rid]
+        total += len(results)
+        from_distractor += int(ds.sources[ds.rows_of([rid for rid, _ in results])].sum())
     return from_distractor / total if total else 0.0

@@ -1,16 +1,20 @@
 """Versioned binary snapshots of built indexes.
 
-Layout (little-endian): magic ``LSHIDX``, u16 version, u8 kind (0 = real,
-1 = binary), a params block (u32 L, u32 K, [f64 w for the real kind],
-u64 seed, u32 dim), the u64 dataset fingerprint, the hash coefficients as
-f32, then the tables: u64 table count, per table a u64 bucket count, per
-bucket a u16 key length, the key bytes (K little-endian i64 for real keys,
-one u64 for binary signatures), a u64 id count and the ids as u64.
+Layout, version 2 (little-endian): magic ``LSHIDX``, u16 version, u8 kind
+(0 = real, 1 = binary), u32 L, u32 K, f64 w (0 for the binary kind),
+u64 seed, u32 dim, the u64 dataset fingerprint, the hash coefficients as
+f32 (real: the L*K*dim axes, then the L*K offsets; binary: the L*K*dim
+hyperplanes), then the bucket tables as written by :mod:`lshkit.tables`:
+their key width and row count, then per table its sorted keys, CSR offsets
+and member rows as flat arrays.
 
 Coefficients are stored in f32 and the in-memory index already computes from
 f32 coefficients, so a loaded index hashes bit-identically to the original.
 A snapshot only loads against a dataset whose fvec serialization hashes to
-the stored fingerprint.
+the stored fingerprint, and every defect is reported at load time: the
+loader checks the parameters, the coefficients and that each table holds
+every dataset row exactly once. Version 1 files (one record per bucket) are
+no longer read.
 """
 
 from __future__ import annotations
@@ -25,11 +29,14 @@ import numpy as np
 from .binary_lsh import BinaryLshIndex, BinaryLshParams
 from .dataset import Dataset, to_fvec_bytes
 from .real_lsh import RealLshIndex, RealLshParams
+from .tables import TableFormatError, decode, encode
 
 SNAPSHOT_MAGIC = b"LSHIDX"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 _KIND_CODES = {"real": 0, "binary": 1}
+_PREFIX = struct.Struct("<6sHB")  # magic, version, kind
+_PARAMS = struct.Struct("<IIdQIQ")  # L, K, w, seed, dim, fingerprint
 _MASK64 = (1 << 64) - 1
 
 
@@ -60,29 +67,18 @@ def save_index(index: RealLshIndex | BinaryLshIndex, path: str | os.PathLike) ->
 
 
 def _serialize(index) -> bytes:
-    chunks = [SNAPSHOT_MAGIC, struct.pack("<HB", SNAPSHOT_VERSION, _KIND_CODES[index.kind])]
-    params = index.params
-    if index.kind == "real":
-        chunks.append(struct.pack("<IIdQI", params.L, params.K, params.w, params.seed & _MASK64, index.dim))
-        chunks.append(struct.pack("<Q", dataset_fingerprint(index.dataset)))
-        chunks.append(index.axes.astype("<f4").tobytes())
-        chunks.append(index.offsets.astype("<f4").tobytes())
-        key_bytes = lambda key: struct.pack(f"<{params.K}q", *key)
+    p = index.params
+    real = index.kind == "real"
+    chunks = [
+        _PREFIX.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, _KIND_CODES[index.kind]),
+        _PARAMS.pack(p.L, p.K, p.w if real else 0.0, p.seed & _MASK64, index.dim,
+                     dataset_fingerprint(index.dataset)),
+    ]
+    if real:
+        chunks += [index.axes.astype("<f4").tobytes(), index.offsets.astype("<f4").tobytes()]
     else:
-        chunks.append(struct.pack("<IIQI", params.L, params.K, params.seed & _MASK64, index.dim))
-        chunks.append(struct.pack("<Q", dataset_fingerprint(index.dataset)))
         chunks.append(index.hyperplanes.astype("<f4").tobytes())
-        key_bytes = lambda key: struct.pack("<Q", key)
-
-    chunks.append(struct.pack("<Q", len(index.tables)))
-    for table in index.tables:
-        chunks.append(struct.pack("<Q", len(table)))
-        for key, ids in table.items():
-            kb = key_bytes(key)
-            chunks.append(struct.pack("<H", len(kb)))
-            chunks.append(kb)
-            chunks.append(struct.pack("<Q", len(ids)))
-            chunks.append(np.asarray(ids, dtype="<u8").tobytes())
+    chunks.append(encode(index.bucket_tables, p.K if real else 1, len(index.dataset)))
     return b"".join(chunks)
 
 
@@ -91,83 +87,73 @@ class _Reader:
         self.data = data
         self.offset = 0
 
-    def take(self, fmt: str):
+    def take(self, layout: struct.Struct) -> tuple:
         try:
-            values = struct.unpack_from(fmt, self.data, self.offset)
+            values = layout.unpack_from(self.data, self.offset)
         except struct.error as exc:
             raise SnapshotError(f"truncated snapshot at offset {self.offset}") from exc
-        self.offset += struct.calcsize(fmt)
+        self.offset += layout.size
         return values
 
     def take_array(self, count: int, dtype) -> np.ndarray:
         nbytes = count * np.dtype(dtype).itemsize
-        chunk = self.data[self.offset : self.offset + nbytes]
-        if len(chunk) != nbytes:
+        if nbytes > len(self.data) - self.offset:
             raise SnapshotError(f"truncated snapshot at offset {self.offset}")
+        array = np.frombuffer(self.data, dtype=dtype, count=count, offset=self.offset)
         self.offset += nbytes
-        return np.frombuffer(chunk, dtype=dtype)
+        return array
+
+
+def _coefficients(reader: _Reader, count: int) -> np.ndarray:
+    values = reader.take_array(count, "<f4")
+    if not np.isfinite(values).all():
+        raise SnapshotError("snapshot holds non-finite hash coefficients")
+    return values
 
 
 def load_index(path: str | os.PathLike, ds: Dataset) -> RealLshIndex | BinaryLshIndex:
     """Load a snapshot and bind it to its dataset.
 
-    Raises SnapshotError on a bad magic, unknown version, truncation, or a
-    dataset whose fingerprint does not match the one stored at save time.
+    Raises SnapshotError on a bad magic, an unsupported version, truncation,
+    invalid parameters or coefficients, an invalid table, or a dataset whose
+    fingerprint does not match the one stored at save time.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:6] != SNAPSHOT_MAGIC:
+        reader = _Reader(fh.read())
+    if reader.data[:6] != SNAPSHOT_MAGIC:
         raise SnapshotError("not an index snapshot: bad magic")
-    reader = _Reader(data)
-    reader.offset = 6
-    version, kind_code = reader.take("<HB")
+    _, version, kind_code = reader.take(_PREFIX)
     if version != SNAPSHOT_VERSION:
         raise SnapshotError(f"unsupported snapshot version {version}")
-    if kind_code == _KIND_CODES["real"]:
-        L, K, w, seed, dim = reader.take("<IIdQI")
-    elif kind_code == _KIND_CODES["binary"]:
-        L, K, seed, dim = reader.take("<IIQI")
-    else:
+    if kind_code not in _KIND_CODES.values():
         raise SnapshotError(f"unknown index kind code {kind_code}")
+    real = kind_code == _KIND_CODES["real"]
+    L, K, w, seed, dim, fingerprint = reader.take(_PARAMS)
+    try:
+        params = RealLshParams(L=L, K=K, w=w, seed=seed) if real else BinaryLshParams(L=L, K=K, seed=seed)
+    except ValueError as exc:
+        raise SnapshotError(f"invalid index parameters: {exc}") from None
     if dim != ds.dim:
         raise SnapshotError(f"snapshot dimensionality {dim} does not match dataset dim {ds.dim}")
-
-    (fingerprint,) = reader.take("<Q")
     if fingerprint != dataset_fingerprint(ds):
         raise SnapshotError(
             "dataset fingerprint mismatch: this snapshot was built over a different dataset"
         )
 
-    if kind_code == _KIND_CODES["real"]:
-        axes = reader.take_array(L * K * dim, "<f4").reshape(L, K, dim)
-        offsets = reader.take_array(L * K, "<f4").reshape(L, K)
-    else:
-        planes = reader.take_array(L * K * dim, "<f4").reshape(L, K, dim)
-
-    (table_count,) = reader.take("<Q")
-    tables = []
-    for _ in range(table_count):
-        (bucket_count,) = reader.take("<Q")
-        table = {}
-        for _ in range(bucket_count):
-            (key_len,) = reader.take("<H")
-            if kind_code == _KIND_CODES["real"]:
-                if key_len != 8 * K:
-                    raise SnapshotError(f"real bucket key of {key_len} bytes, expected {8 * K}")
-                key = tuple(int(v) for v in reader.take(f"<{K}q"))
-            else:
-                if key_len != 8:
-                    raise SnapshotError(f"binary bucket key of {key_len} bytes, expected 8")
-                key = int(reader.take("<Q")[0])
-            (id_count,) = reader.take("<Q")
-            ids = reader.take_array(id_count, "<u8")
-            table[key] = [int(i) for i in ids]
-        tables.append(table)
-    if reader.offset != len(data):
-        raise SnapshotError(f"{len(data) - reader.offset} trailing bytes after tables")
-
-    if kind_code == _KIND_CODES["real"]:
-        params = RealLshParams(L=L, K=K, w=w, seed=seed)
-        return RealLshIndex(params, dim, axes, offsets, tables, ds)
-    params = BinaryLshParams(L=L, K=K, seed=seed)
+    planes = _coefficients(reader, L * K * dim).reshape(L, K, dim)
+    if real:
+        offsets = _coefficients(reader, L * K).reshape(L, K)
+        # a sufficient bound for every key of every dataset row to fit int64
+        largest = max(float(ds.vectors.max(initial=0.0)), -float(ds.vectors.min(initial=0.0)))
+        reach = largest * np.abs(planes.astype(np.float64)).sum(axis=2)
+        if not (reach + np.abs(offsets) < w * 2.0**62).all():
+            raise SnapshotError("hash coefficients too large: dataset keys would overflow int64")
+    try:
+        tables = decode(reader.take_array, L, K if real else 1, len(ds), "<i8" if real else "<u8")
+    except TableFormatError as exc:
+        raise SnapshotError(f"invalid bucket table: {exc}") from None
+    if reader.offset != len(reader.data):
+        raise SnapshotError(f"{len(reader.data) - reader.offset} trailing bytes after tables")
+    if real:
+        return RealLshIndex(params, dim, planes, offsets, tables, ds)
     return BinaryLshIndex(params, dim, planes, tables, ds)

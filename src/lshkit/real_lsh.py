@@ -1,4 +1,4 @@
-"""Real-valued random-projection LSH.
+"""Real-valued random-projection LSH, and the index core both families share.
 
 Each of the L hash tables keys vectors by a K-tuple of integer hashes
 floor((v . X + b) / w), with X drawn Gaussian(0,1) per coordinate and b
@@ -16,6 +16,7 @@ import numpy as np
 from .dataset import Dataset
 from .distances import as_query, check_metric, distances_to, rank_top_k
 from .exact import QueryStats
+from .tables import BucketTable, as_dicts, build_tables, gather
 
 _MASK64 = (1 << 64) - 1
 
@@ -53,8 +54,8 @@ class RealLshParams:
             raise ValueError(f"L must be >= 1, got {self.L}")
         if self.K < 1:
             raise ValueError(f"K must be >= 1, got {self.K}")
-        if not self.w > 0:
-            raise ValueError(f"w must be positive, got {self.w}")
+        if not 0 < self.w < np.inf:
+            raise ValueError(f"w must be positive and finite, got {self.w}")
 
 
 @dataclass(frozen=True)
@@ -66,10 +67,14 @@ class ProjectionFunction:
 
 
 def _floor_keys(values64: np.ndarray, axes64: np.ndarray, offsets64: np.ndarray, w: float) -> np.ndarray:
+    """Integer hashes floor((v . X + b) / w); ValueError when one does not fit int64."""
     # einsum (not BLAS) keeps each row's accumulation independent of batch
     # size, so a vector hashes identically at build and at query time
     proj = np.einsum("nd,kd->nk", values64, axes64) + offsets64
-    return np.floor(proj / w).astype(np.int64)
+    keys = np.floor(proj / w)
+    if not (keys.min() >= -(2.0**63) and keys.max() < 2.0**63):
+        raise ValueError(f"a projection hash overflows int64: |v . X + b| / w reaches 2**63 (w={w})")
+    return keys.astype(np.int64)
 
 
 def projection_hash(vector, fn: ProjectionFunction, width: float) -> int:
@@ -80,79 +85,38 @@ def projection_hash(vector, fn: ProjectionFunction, width: float) -> int:
     return int(keys[0, 0])
 
 
-class RealLshIndex:
-    """Frozen after build: concurrent readers, no mutation."""
+class LshIndex:
+    """An index of one hash family over a dataset: the family's coefficients
+    plus L flat bucket tables. Frozen after build: concurrent readers, no
+    mutation. A family supplies ``_table_keys`` (the (n, L, W) key words of
+    a float64 batch) and ``_key_of`` (key words -> the key's Python form)."""
 
-    kind = "real"
+    kind: str
 
-    def __init__(
-        self,
-        params: RealLshParams,
-        dim: int,
-        axes: np.ndarray,
-        offsets: np.ndarray,
-        tables: list[dict[tuple[int, ...], list[int]]],
-        dataset: Dataset,
-    ):
+    def __init__(self, params, dim: int, tables: list[BucketTable], dataset: Dataset):
         self.params = params
         self.dim = dim
-        self.axes = np.ascontiguousarray(axes, dtype=np.float32).reshape(params.L, params.K, dim)
-        self.offsets = np.ascontiguousarray(offsets, dtype=np.float32).reshape(params.L, params.K)
-        self.tables = tables
+        self.bucket_tables = list(tables)
         self.dataset = dataset
-        self._axes64 = self.axes.reshape(params.L * params.K, dim).astype(np.float64)
-        self._offsets64 = self.offsets.reshape(-1).astype(np.float64)
 
-    @classmethod
-    def build(cls, ds: Dataset, params: RealLshParams) -> "RealLshIndex":
-        if len(ds) == 0:
-            raise ValueError("cannot build an index over an empty dataset")
-        axes = np.empty((params.L, params.K, ds.dim), dtype=np.float32)
-        offsets = np.empty((params.L, params.K), dtype=np.float32)
-        for t in range(params.L):
-            for j in range(params.K):
-                rng = child_rng(params.seed, STREAM_REAL, t, j)
-                axes[t, j] = rng.standard_normal(ds.dim).astype(np.float32)
-                offsets[t, j] = np.float32(rng.uniform(0.0, params.w))
-        index = cls(params, ds.dim, axes, offsets, [], ds)
-        keys = index._keys_for(ds.values64)
-        tables: list[dict[tuple[int, ...], list[int]]] = []
-        for t in range(params.L):
-            table: dict[tuple[int, ...], list[int]] = {}
-            table_keys = keys[:, t, :].tolist()
-            for row, key in enumerate(table_keys):
-                table.setdefault(tuple(key), []).append(int(ds.ids[row]))
-            tables.append(table)
-        index.tables = tables
-        return index
+    @property
+    def tables(self) -> list[dict]:
+        """``{key: [ids]}`` per table, built afresh from the bucket arrays on
+        each access; buckets in first-appearance order."""
+        return as_dicts(self.bucket_tables, self.dataset.ids, self._key_of)
 
-    def _keys_for(self, values64: np.ndarray) -> np.ndarray:
-        """(n, L, K) integer hash array for a float64 batch."""
-        L, K = self.params.L, self.params.K
-        flat = _floor_keys(values64, self._axes64, self._offsets64, self.params.w)
-        return flat.reshape(-1, L, K)
-
-    def projection(self, table_index: int, slot: int) -> ProjectionFunction:
-        return ProjectionFunction(self.axes[table_index, slot], float(self.offsets[table_index, slot]))
-
-    def bucket_key(self, table_index: int, vector) -> tuple[int, ...]:
-        """The K-tuple key of ``vector`` under table ``table_index``."""
+    def _vector_key(self, table_index: int, vector):
         if not 0 <= table_index < self.params.L:
             raise ValueError(f"table_index {table_index} out of range for L={self.params.L}")
         qv = as_query(vector, self.dim).astype(np.float64)
-        keys = self._keys_for(qv.reshape(1, -1))
-        return tuple(int(h) for h in keys[0, table_index])
+        return self._key_of(self._table_keys(qv.reshape(1, -1))[0, table_index].tolist())
 
     def candidates(self, q) -> tuple[np.ndarray, int]:
         """Deduplicated candidate ids for a query, plus the multiset count
         of bucket members across all L tables (the charged query cost)."""
         qv = as_query(q, self.dim).astype(np.float64)
-        keys = self._keys_for(qv.reshape(1, -1))[0]
-        gathered: list[int] = []
-        for t, table in enumerate(self.tables):
-            gathered.extend(table.get(tuple(int(h) for h in keys[t]), ()))
-        unique = np.unique(np.asarray(gathered, dtype=np.int64))
-        return unique, len(gathered)
+        rows = gather(self.bucket_tables, self._table_keys(qv.reshape(1, -1))[0])
+        return np.unique(self.dataset.ids[rows]), len(rows)
 
     def query(
         self, q, k: int = 10, metric: str = "cosine"
@@ -168,9 +132,63 @@ class RealLshIndex:
         stats = QueryStats(distance_computations=multiset, candidates_examined=len(unique))
         if len(unique) == 0:
             return [], stats
-        rows = np.fromiter((self.dataset.row_of(i) for i in unique), dtype=np.int64, count=len(unique))
+        rows = self.dataset.rows_of(unique)
         dists = distances_to(self.dataset.values64[rows], as_query(q, self.dim), metric)
         return rank_top_k(unique, dists, k), stats
+
+
+class RealLshIndex(LshIndex):
+    """Projection index: one K-tuple of integer hashes as key per table."""
+
+    kind = "real"
+    _key_of = tuple
+    # each family holds candidates and query as its own attributes, so
+    # per-class instrumentation can wrap them
+    candidates = LshIndex.candidates
+    query = LshIndex.query
+
+    def __init__(
+        self,
+        params: RealLshParams,
+        dim: int,
+        axes: np.ndarray,
+        offsets: np.ndarray,
+        tables: list[BucketTable],
+        dataset: Dataset,
+    ):
+        super().__init__(params, dim, tables, dataset)
+        self.axes = np.ascontiguousarray(axes, dtype=np.float32).reshape(params.L, params.K, dim)
+        self.offsets = np.ascontiguousarray(offsets, dtype=np.float32).reshape(params.L, params.K)
+        self._axes64 = self.axes.reshape(params.L * params.K, dim).astype(np.float64)
+        self._offsets64 = self.offsets.reshape(-1).astype(np.float64)
+
+    @classmethod
+    def build(cls, ds: Dataset, params: RealLshParams) -> "RealLshIndex":
+        if len(ds) == 0:
+            raise ValueError("cannot build an index over an empty dataset")
+        axes = np.empty((params.L, params.K, ds.dim), dtype=np.float32)
+        offsets = np.empty((params.L, params.K), dtype=np.float32)
+        for t in range(params.L):
+            for j in range(params.K):
+                rng = child_rng(params.seed, STREAM_REAL, t, j)
+                axes[t, j] = rng.standard_normal(ds.dim).astype(np.float32)
+                offsets[t, j] = np.float32(rng.uniform(0.0, params.w))
+        index = cls(params, ds.dim, axes, offsets, [], ds)
+        index.bucket_tables = build_tables(index._table_keys(ds.values64))
+        return index
+
+    def _table_keys(self, values64: np.ndarray) -> np.ndarray:
+        """(n, L, K) integer hash array for a float64 batch."""
+        L, K = self.params.L, self.params.K
+        flat = _floor_keys(values64, self._axes64, self._offsets64, self.params.w)
+        return flat.reshape(-1, L, K)
+
+    def projection(self, table_index: int, slot: int) -> ProjectionFunction:
+        return ProjectionFunction(self.axes[table_index, slot], float(self.offsets[table_index, slot]))
+
+    def bucket_key(self, table_index: int, vector) -> tuple[int, ...]:
+        """The K-tuple key of ``vector`` under table ``table_index``."""
+        return self._vector_key(table_index, vector)
 
 
 def build_real_index(ds: Dataset, params: RealLshParams) -> RealLshIndex:

@@ -1,0 +1,138 @@
+"""Flat bucket tables: the one storage format of both LSH families.
+
+A table groups the n rows of a dataset by hash key in three arrays: its B
+distinct keys in sorted order (``words``, (B, W) 8-byte words), CSR
+``offsets`` ((B + 1,), bucket b holds ``rows[offsets[b]:offsets[b + 1]]``)
+and ``rows`` (every row once, ascending within a bucket). A real key is K
+integer hashes (W = K), a binary key one K-bit signature (W = 1); a key row
+is compared as one ``np.void`` value of 8*W bytes, so both families share
+one argsort/searchsorted path, keys sorting by their raw bytes. Buckets are
+listed in order of first appearance, the order in which inserting the rows
+one by one creates them.
+
+Snapshot section (little-endian u64): W, n, then per table B, the B*W key
+words (the family's word type), the B + 1 offsets and the n rows.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Sequence
+
+import numpy as np
+
+
+class TableFormatError(ValueError):
+    """Stored arrays that do not form a valid bucket table."""
+
+
+def _as_void(words: np.ndarray) -> np.ndarray:
+    words = np.ascontiguousarray(words)
+    return words.view(np.dtype((np.void, words.dtype.itemsize * words.shape[-1]))).reshape(words.shape[:-1])
+
+
+class BucketTable:
+    """One hash table over the rows of a dataset; frozen after construction."""
+
+    def __init__(self, words: np.ndarray, offsets: np.ndarray, rows: np.ndarray):
+        self.words = words
+        self.offsets = offsets
+        self.rows = rows
+        self.keys = _as_void(words)
+
+    @classmethod
+    def build(cls, words: np.ndarray) -> "BucketTable":
+        """The table of the (n, W) key words of rows 0..n-1."""
+        keys = _as_void(words)
+        rows = np.argsort(keys, kind="stable")
+        sorted_keys = keys[rows]
+        starts = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
+        return cls(np.ascontiguousarray(words[rows[starts]]), np.append(starts, len(rows)), rows)
+
+    def bucket(self, key) -> np.ndarray:
+        """Rows stored under ``key`` (one void value); empty when it is absent."""
+        lo = self.keys.searchsorted(key)
+        hi = self.keys.searchsorted(key, "right")
+        return self.rows[self.offsets[lo] : self.offsets[hi]]
+
+    def first_appearance(self) -> np.ndarray:
+        """Bucket numbers ordered by each bucket's smallest row."""
+        return np.argsort(self.rows[self.offsets[:-1]])
+
+
+def build_tables(words: np.ndarray) -> list[BucketTable]:
+    """One table per column of the (n, L, W) key words."""
+    return [BucketTable.build(words[:, t]) for t in range(words.shape[1])]
+
+
+def gather(tables: Sequence[BucketTable], words: np.ndarray) -> np.ndarray:
+    """Rows in the buckets that the (L, W) query key words hit, a row once
+    per table that holds it there."""
+    parts = [table.bucket(key) for table, key in zip(tables, _as_void(words))]
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
+
+
+def label_majorities(tables: Sequence[BucketTable], label_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Majority-label count and size of every bucket, table after table."""
+    majorities, sizes = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    width = int(label_ids.max(initial=0)) + 1
+    for table in tables:
+        size = np.diff(table.offsets)
+        bucket = np.repeat(np.arange(len(size)), size)
+        pairs, counts = np.unique(bucket * width + label_ids[table.rows], return_counts=True)
+        majority = np.maximum.reduceat(counts, np.searchsorted(pairs, np.arange(len(size)) * width))
+        order = table.first_appearance()
+        majorities.append(majority[order])
+        sizes.append(size[order])
+    return np.concatenate(majorities), np.concatenate(sizes)
+
+
+def as_dicts(tables: Sequence[BucketTable], ids: np.ndarray, key_of: Callable[[list[int]], object]) -> list[dict]:
+    """``{key_of(key words): [ids]}`` per table."""
+    out = []
+    for table in tables:
+        words = table.words.tolist()
+        members = np.split(ids[table.rows], table.offsets[1:-1])
+        out.append({key_of(words[b]): members[b].tolist() for b in table.first_appearance().tolist()})
+    return out
+
+
+def encode(tables: Sequence[BucketTable], width: int, n: int) -> bytes:
+    chunks = [np.array([width, n], dtype="<u8").tobytes()]
+    for table in tables:
+        chunks += [np.array([len(table.words)], dtype="<u8").tobytes(), table.words.tobytes(),
+                   table.offsets.astype("<u8").tobytes(), table.rows.astype("<u8").tobytes()]
+    return b"".join(chunks)
+
+
+def decode(read: Callable[[int, str], np.ndarray], count: int, width: int, n: int, word_type: str) -> list[BucketTable]:
+    """Read ``count`` tables of ``width``-word keys over ``n`` rows, where
+    ``read(count, dtype)`` returns the stream's next ``count`` items.
+
+    Raises TableFormatError unless the stored width and row count match and
+    in every table the keys strictly increase, the offsets rise from 0 to n,
+    and the rows are each row exactly once, ascending within a bucket.
+    """
+    stored_width, stored_n = (int(v) for v in read(2, "<u8"))
+    if stored_width != width:
+        raise TableFormatError(f"key width of {stored_width} words, expected {width}")
+    if stored_n != n:
+        raise TableFormatError(f"tables over {stored_n} rows, the dataset has {n}")
+    tables = []
+    for t in range(count):
+        buckets = int(read(1, "<u8")[0])
+        words = np.array(read(buckets * width, word_type).reshape(-1, width))
+        offsets = read(buckets + 1, "<u8").astype(np.int64)
+        rows = read(n, "<u8").astype(np.int64)
+        if offsets[0] != 0 or offsets[-1] != n or (np.diff(offsets) <= 0).any():
+            raise TableFormatError(f"table {t}: bucket offsets do not rise from 0 to {n}")
+        if ((rows < 0) | (rows >= n)).any() or (np.bincount(rows, minlength=n) != 1).any():
+            raise TableFormatError(f"table {t}: members are not each dataset row exactly once")
+        ascending = np.diff(rows) > 0
+        ascending[offsets[1:-1] - 1] = True
+        if not ascending.all():
+            raise TableFormatError(f"table {t}: rows are not ascending within a bucket")
+        keys = _as_void(words)
+        if (np.argsort(keys, kind="stable") != np.arange(buckets)).any() or (keys[1:] == keys[:-1]).any():
+            raise TableFormatError(f"table {t}: keys are not strictly increasing")
+        tables.append(BucketTable(words, offsets, rows))
+    return tables

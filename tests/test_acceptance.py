@@ -19,7 +19,6 @@ from lshkit import (
     class_analysis,
     compute_bucket_stats,
     distractor_contamination,
-    evaluate_config,
     generate_synthetic,
     hyperplane_bit,
     improvement_in_efficiency,
@@ -29,6 +28,7 @@ from lshkit import (
     merge_datasets,
     parameter_sweep,
     pearson_correlation,
+    run_config,
     save_index,
     select_queries,
     sweep_csv_text,
@@ -105,7 +105,7 @@ def _trend_medians(ds, queries, kind, grid, fixed_l=None, fixed_k=None):
         L = fixed_l if fixed_l is not None else value
         K = fixed_k if fixed_k is not None else value
         reports = [
-            evaluate_config(ds, queries, kind, L=L, K=K, seed=s, k=10)
+            run_config(ds, queries, kind, L=L, K=K, seed=s, k=10)[0]
             for s in TREND_SEEDS
         ]
         rows.append(

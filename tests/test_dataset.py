@@ -126,6 +126,33 @@ def test_fvec_truncated():
         from_fvec_bytes(blob[: len(blob) - 3])
 
 
+def test_fvec_invalid_utf8_label_is_format_error():
+    blob = bytearray(to_fvec_bytes(random_dataset()))
+    blob[16] = 0xFF  # first byte of the first label, after the u16 length at 14
+    with pytest.raises(DatasetFormatError, match="UTF-8"):
+        from_fvec_bytes(bytes(blob))
+
+
+def test_csv_invalid_utf8_label_is_format_error(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"id,label,dim=1\n0,c\xffat,1.0\n")
+    with pytest.raises(DatasetFormatError, match="UTF-8"):
+        load_dataset(path)
+
+
+def test_rows_of_maps_unordered_ids():
+    vals = np.arange(8, dtype=np.float32).reshape(4, 2)
+    ds = Dataset(2, ["a"], np.array([30, 10, 40, 20]), np.zeros(4, dtype=np.int64), vals)
+    assert ds.rows_of([10, 20, 30, 40]).tolist() == [1, 3, 0, 2]
+    assert [ds.row_of(i) for i in (30, 10, 40, 20)] == [0, 1, 2, 3]
+    for missing in ([15], [10, 50], [5]):
+        with pytest.raises(KeyError, match=f"no vector with id {missing[-1]}"):
+            ds.rows_of(missing)
+    for missing in (2, 2**70):
+        with pytest.raises(KeyError, match=f"no vector with id {missing}"):
+            ds.row_of(missing)
+
+
 def test_fvec_format_inference_requires_known_extension(tmp_path):
     with pytest.raises(ValueError, match="infer"):
         load_dataset(tmp_path / "d.bin")

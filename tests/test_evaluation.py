@@ -19,7 +19,6 @@ from lshkit import (
     class_reports_json_lines,
     compute_bucket_stats,
     distractor_contamination,
-    evaluate_config,
     generate_synthetic,
     improvement_in_efficiency,
     mean_average_precision,
@@ -174,6 +173,21 @@ def test_bucket_statistics_matches_manual_recount():
     assert abs(stats.std_purity - np.std(purities)) < TOL
 
 
+@pytest.mark.parametrize("kind", ["real", "binary"])
+def test_bucket_statistics_equals_label_group_reference_exactly(kind):
+    # buckets are pooled in first-appearance order, as the per-bucket
+    # reference enumerates them, so even the float bits agree
+    ds = generate_synthetic(6, 15, 8, 0.6, seed=12)
+    for L, K in ((1, 1), (3, 2), (4, 6)):
+        if kind == "real":
+            index = build_real_index(ds, RealLshParams(L=L, K=K, w=2.0, seed=L + K))
+        else:
+            index = build_binary_index(ds, BinaryLshParams(L=L, K=K, seed=L + K))
+        label_of = dict(zip(ds.ids.tolist(), ds.label_ids.tolist()))
+        groups = [[label_of[i] for i in bucket] for table in index.tables for bucket in table.values()]
+        assert bucket_statistics(index) == compute_bucket_stats(groups)
+
+
 # ---------------------------------------------------------------------------
 # pearson correlation
 # ---------------------------------------------------------------------------
@@ -210,13 +224,13 @@ def test_pearson_errors():
 
 
 # ---------------------------------------------------------------------------
-# evaluate_config
+# run_config
 # ---------------------------------------------------------------------------
 
 def test_baseline_has_ie_exactly_one():
     ds = generate_synthetic(4, 8, 8, 0.2, seed=1)
     queries = select_queries(ds, seed=2)
-    report = evaluate_config(ds, queries, "none")
+    report = run_config(ds, queries, "none")[0]
     assert report.ie == 1.0
     assert report.L == 0 and report.K == 0
 
@@ -224,7 +238,7 @@ def test_baseline_has_ie_exactly_one():
 def test_zero_std_exact_scan_gives_perfect_map():
     ds = generate_synthetic(4, 5, 8, 0.0, seed=6)
     queries = select_queries(ds, seed=3)
-    report = evaluate_config(ds, queries, "none", k=10)
+    report = run_config(ds, queries, "none", k=10)[0]
     assert report.mean_ap == 1.0
 
 
@@ -232,7 +246,7 @@ def test_query_excluded_from_its_own_accounting():
     # with std 0 every class member ties the query at distance 0; a leaked
     # self-match would steal a rank and push AP below 1
     ds = generate_synthetic(2, 4, 4, 0.0, seed=2)
-    report = evaluate_config(ds, [0, 4], "none", k=3)
+    report = run_config(ds, [0, 4], "none", k=3)[0]
     assert report.mean_ap == 1.0
 
 
@@ -253,18 +267,18 @@ def test_evaluate_config_validation():
     ds = generate_synthetic(3, 4, 4, 0.1, seed=1)
     queries = select_queries(ds, seed=1)
     with pytest.raises(ValueError, match="index_kind"):
-        evaluate_config(ds, queries, "hnsw")
+        run_config(ds, queries, "hnsw")[0]
     with pytest.raises(ValueError, match="non-empty"):
-        evaluate_config(ds, [], "none")
+        run_config(ds, [], "none")[0]
     with pytest.raises(ValueError, match="required"):
-        evaluate_config(ds, queries, "real")
+        run_config(ds, queries, "real")[0]
 
 
 def test_singleton_class_query_raises():
     vals = np.random.default_rng(0).standard_normal((3, 4)).astype(np.float32)
     ds = Dataset(4, ["a", "b"], np.arange(3), np.array([0, 0, 1]), vals)
     with pytest.raises(ValueError, match="no other member"):
-        evaluate_config(ds, [2], "none")
+        run_config(ds, [2], "none")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +315,7 @@ def test_sweep_single_cell_equals_evaluate_config():
     ds = generate_synthetic(4, 6, 8, 0.3, seed=12)
     queries = select_queries(ds, seed=13)
     rows = parameter_sweep(ds, [3], [2], "real", query_ids=queries, seed=7)
-    assert rows == [evaluate_config(ds, queries, "real", L=3, K=2, seed=7)]
+    assert rows == [run_config(ds, queries, "real", L=3, K=2, seed=7)[0]]
 
 
 def test_sweep_grid_order_and_reproducibility():

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from lshkit import (
     load_index,
     save_index,
 )
+from lshkit.tables import BucketTable
 
 
 def make_indexes(seed=5):
@@ -133,3 +136,149 @@ def test_save_overwrites_atomically(tmp_path):
     assert loaded.kind == "binary"
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
+
+
+# ---------------------------------------------------------------------------
+# version 2 load-time validation
+# ---------------------------------------------------------------------------
+
+HEADER_BYTES = 45  # magic, u16 version, u8 kind, L, K, w, seed, dim, fingerprint
+
+
+def table_section(index):
+    """Byte offset of the bucket tables in ``index``'s snapshot."""
+    coefficients = index.axes.size + index.offsets.size if index.kind == "real" else index.hyperplanes.size
+    return HEADER_BYTES + 4 * coefficients
+
+
+def patched(path, offset, fmt, value):
+    blob = bytearray(path.read_bytes())
+    struct.pack_into(fmt, blob, offset, value)
+    path.write_bytes(bytes(blob))
+
+
+def save_with_table(index, path, words=None, offsets=None, rows=None):
+    """Snapshot of ``index`` with table 0's arrays replaced."""
+    t0 = index.bucket_tables[0]
+    index.bucket_tables[0] = BucketTable(
+        t0.words if words is None else words,
+        t0.offsets if offsets is None else offsets,
+        t0.rows if rows is None else rows,
+    )
+    try:
+        save_index(index, path)
+    finally:
+        index.bucket_tables[0] = t0
+
+
+@pytest.mark.parametrize("kind", ["real", "binary"])
+def test_table_without_every_row_once_rejected(tmp_path, kind):
+    ds, real, binary = make_indexes()
+    index = real if kind == "real" else binary
+    rows = index.bucket_tables[0].rows.copy()
+    rows[rows == 5] = 6  # row 5 (id 5) missing, row 6 twice
+    path = tmp_path / "idx"
+    save_with_table(index, path, rows=rows)
+    with pytest.raises(SnapshotError, match="exactly once"):
+        load_index(path, ds)
+
+
+def test_rows_not_ascending_within_a_bucket_rejected(tmp_path):
+    ds, real, _ = make_indexes()
+    t0 = real.bucket_tables[0]
+    largest = int(np.argmax(np.diff(t0.offsets)))
+    lo, hi = t0.offsets[largest], t0.offsets[largest + 1]
+    assert hi - lo >= 2
+    rows = t0.rows.copy()
+    rows[lo:hi] = rows[lo:hi][::-1]
+    path = tmp_path / "idx"
+    save_with_table(real, path, rows=rows)
+    with pytest.raises(SnapshotError, match="ascending"):
+        load_index(path, ds)
+
+
+@pytest.mark.parametrize("kind", ["real", "binary"])
+def test_keys_not_strictly_increasing_rejected(tmp_path, kind):
+    ds, real, binary = make_indexes()
+    index = real if kind == "real" else binary
+    words = index.bucket_tables[0].words
+    for bad in (np.concatenate([words[:1], words[:1], words[2:]]), words[::-1]):
+        path = tmp_path / "idx"
+        save_with_table(index, path, words=np.ascontiguousarray(bad))
+        with pytest.raises(SnapshotError, match="strictly increasing"):
+            load_index(path, ds)
+
+
+def test_offsets_not_rising_from_zero_to_n_rejected(tmp_path):
+    ds, real, _ = make_indexes()
+    good = real.bucket_tables[0].offsets
+    for change in ({-1: len(ds) - 1}, {0: 1}, {1: 0}):
+        offsets = good.copy()
+        for position, value in change.items():
+            offsets[position] = value
+        path = tmp_path / "idx"
+        save_with_table(real, path, offsets=offsets)
+        with pytest.raises(SnapshotError, match="offsets"):
+            load_index(path, ds)
+
+
+@pytest.mark.parametrize("kind", ["real", "binary"])
+def test_key_width_mismatch_rejected(tmp_path, kind):
+    ds, real, binary = make_indexes()
+    index = real if kind == "real" else binary
+    path = tmp_path / "idx"
+    save_index(index, path)
+    patched(path, table_section(index), "<Q", index.params.K + 1 if kind == "real" else 2)
+    with pytest.raises(SnapshotError, match="key width"):
+        load_index(path, ds)
+
+
+@pytest.mark.parametrize("kind", ["real", "binary"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_coefficients_rejected(tmp_path, kind, value):
+    ds, real, binary = make_indexes()
+    index = real if kind == "real" else binary
+    path = tmp_path / "idx"
+    save_index(index, path)
+    patched(path, HEADER_BYTES, "<f", value)
+    with pytest.raises(SnapshotError, match="non-finite"):
+        load_index(path, ds)
+
+
+@pytest.mark.parametrize(
+    "kind, offset, fmt, value",
+    [
+        ("real", 9, "<I", 0),  # L
+        ("real", 13, "<I", 0),  # K
+        ("real", 17, "<d", -4.0),  # w
+        ("real", 17, "<d", float("nan")),
+        ("real", 17, "<d", float("inf")),
+        ("binary", 9, "<I", 0),
+        ("binary", 13, "<I", 65),
+    ],
+)
+def test_invalid_params_rejected(tmp_path, kind, offset, fmt, value):
+    ds, real, binary = make_indexes()
+    path = tmp_path / "idx"
+    save_index(real if kind == "real" else binary, path)
+    patched(path, offset, fmt, value)
+    with pytest.raises(SnapshotError, match="invalid index parameters"):
+        load_index(path, ds)
+
+
+def test_version_1_rejected(tmp_path):
+    ds, real, _ = make_indexes()
+    path = tmp_path / "r.idx"
+    save_index(real, path)
+    patched(path, 6, "<H", 1)
+    with pytest.raises(SnapshotError, match="unsupported snapshot version 1"):
+        load_index(path, ds)
+
+
+def test_coefficients_that_overflow_dataset_keys_rejected(tmp_path):
+    ds, real, _ = make_indexes()
+    path = tmp_path / "r.idx"
+    save_index(real, path)
+    patched(path, HEADER_BYTES, "<f", 3e38)
+    with pytest.raises(SnapshotError, match="overflow"):
+        load_index(path, ds)

@@ -144,6 +144,23 @@ def test_build_rejects_empty_dataset():
         build_real_index(empty, RealLshParams(L=1, K=1, seed=0))
 
 
+def test_key_overflow_raises_at_build_and_query():
+    # floor(proj / w) of these two lies beyond int64; a silent cast would
+    # send both to INT64_MIN, one shared bucket
+    vals = np.zeros((2, 4), dtype=np.float32)
+    vals[0, :] = 1e30
+    vals[1, :] = -3e30
+    huge = Dataset(4, ["a", "b"], np.arange(2), np.arange(2), vals)
+    with pytest.raises(ValueError, match="overflows int64"):
+        build_real_index(huge, RealLshParams(L=2, K=2, seed=0))
+    index = build_real_index(make_dataset(dim=4), RealLshParams(L=2, K=2, seed=0))
+    for v in vals:
+        with pytest.raises(ValueError, match="overflows int64"):
+            index.query(v, k=3)
+        with pytest.raises(ValueError, match="overflows int64"):
+            index.bucket_key(0, v)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         RealLshParams(L=0, K=1, seed=0)
