@@ -30,6 +30,7 @@ from .evaluation import (
     class_reports_json_lines,
     compute_bucket_stats,
     distractor_contamination,
+    evaluate_grid,
     improvement_in_efficiency,
     mean_average_precision,
     parameter_sweep,
@@ -80,6 +81,7 @@ __all__ = [
     "compute_bucket_stats",
     "dataset_fingerprint",
     "distractor_contamination",
+    "evaluate_grid",
     "generate_synthetic",
     "hyperplane_bit",
     "improvement_in_efficiency",

@@ -17,7 +17,7 @@ from .dataset import Dataset
 # here for code that wraps this module's names
 from .distances import as_query, distances_to, rank_top_k  # noqa: F401
 from .real_lsh import STREAM_BINARY, LshIndex, child_rng
-from .tables import BucketTable, build_tables
+from .tables import BucketTable
 
 MAX_SIGNATURE_BITS = 64
 
@@ -51,6 +51,7 @@ class BinaryLshIndex(LshIndex):
     kind = "binary"
     _key_of = staticmethod(lambda words: words[0])
     # own attributes, as in RealLshIndex
+    build = LshIndex.__dict__["build"]
     candidates = LshIndex.candidates
     query = LshIndex.query
 
@@ -66,12 +67,14 @@ class BinaryLshIndex(LshIndex):
         self.hyperplanes = np.ascontiguousarray(hyperplanes, dtype=np.float32).reshape(
             params.L, params.K, dim
         )
-        self._planes64 = self.hyperplanes.reshape(params.L * params.K, dim).astype(np.float64)
+        self._planes64 = self.hyperplanes.astype(np.float64)
         # most-significant-first bit weights: slot 0 occupies the top bit
         self._weights = np.array([1 << (params.K - 1 - j) for j in range(params.K)], dtype=np.uint64)
 
     @classmethod
-    def build(cls, ds: Dataset, params: BinaryLshParams) -> "BinaryLshIndex":
+    def with_coefficients(cls, ds: Dataset, params: BinaryLshParams) -> "BinaryLshIndex":
+        """The index of ``params`` over ``ds`` with its hyperplanes drawn and
+        no tables yet."""
         if len(ds) == 0:
             raise ValueError("cannot build an index over an empty dataset")
         planes = np.empty((params.L, params.K, ds.dim), dtype=np.float32)
@@ -79,16 +82,19 @@ class BinaryLshIndex(LshIndex):
             for j in range(params.K):
                 rng = child_rng(params.seed, STREAM_BINARY, t, j)
                 planes[t, j] = rng.standard_normal(ds.dim).astype(np.float32)
-        index = cls(params, ds.dim, planes, [], ds)
-        index.bucket_tables = build_tables(index._table_keys(ds.values64))
-        return index
+        return cls(params, ds.dim, planes, [], ds)
 
-    def _table_keys(self, values64: np.ndarray) -> np.ndarray:
-        """(n, L, 1) array of K-bit signatures for a float64 batch."""
-        L, K = self.params.L, self.params.K
-        proj = np.einsum("nd,kd->nk", values64, self._planes64)
-        bits = (proj >= 0).astype(np.uint64).reshape(-1, L, K)
+    def _table_keys(self, values64: np.ndarray, tables: slice = slice(None)) -> np.ndarray:
+        """(n, L, 1) array of K-bit signatures for a float64 batch; ``tables``
+        selects a range of the L tables."""
+        planes = self._planes64[tables]
+        proj = np.einsum("nd,kd->nk", values64, planes.reshape(-1, self.dim))
+        bits = (proj >= 0).astype(np.uint64).reshape(-1, len(planes), self.params.K)
         return (bits * self._weights).sum(axis=2, dtype=np.uint64)[..., None]
+
+    def _key_prefix(self, words: np.ndarray, K: int) -> np.ndarray:
+        """A K-bit signature is the top K bits of a longer one."""
+        return words >> np.uint64(self.params.K - K)
 
     def hyperplane(self, table_index: int, slot: int) -> np.ndarray:
         return self.hyperplanes[table_index, slot]

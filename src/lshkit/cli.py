@@ -19,9 +19,9 @@ from .evaluation import (
     class_metric_correlation,
     class_reports_json_lines,
     distractor_contamination,
+    evaluate_grid,
     make_index,
     read_class_metric_csv,
-    run_config,
     select_queries,
     write_sweep_csv,
 )
@@ -112,25 +112,18 @@ def cmd_sweep(args) -> int:
         ds, seed=args.seed, holdout_fraction=args.holdout_fraction,
         queries_per_class=args.queries_per_class,
     )
-    reports = []
-    per_query_rows = []
-    for L in args.L:
-        for K in args.K:
-            report, outcomes = run_config(
-                ds, queries, args.index, L=L, K=K, w=args.w, seed=args.seed,
-                k=args.k, metric=args.metric,
-            )
-            reports.append(report)
-            per_query_rows.extend(
-                f"{L},{K},{o.query_id},{o.ap},{o.seq_cost},{o.index_cost},{o.charged_cost},{o.ie}"
-                for o in outcomes
-            )
+    cells = evaluate_grid(ds, queries, args.index, args.L, args.K, args.w, args.seed, args.k, args.metric)
+    reports = [report for report, _ in cells]
     write_sweep_csv(reports, args.out)
     print(f"wrote {args.out}: {len(reports)} rows", file=sys.stderr)
     if args.per_query_out:
         with open(args.per_query_out, "w", encoding="utf-8") as fh:
             fh.write("L,K,query_id,ap,seq_cost,index_cost,charged_cost,ie\n")
-            fh.write("\n".join(per_query_rows) + "\n")
+            fh.writelines(
+                f"{r.L},{r.K},{o.query_id},{o.ap},{o.seq_cost},{o.index_cost},{o.charged_cost},{o.ie}\n"
+                for r, outcomes in cells
+                for o in outcomes
+            )
     if args.ie_target is not None:
         best = best_tradeoff(reports, args.ie_target)
         if best is None:

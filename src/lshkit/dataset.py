@@ -13,7 +13,6 @@ supported:
 from __future__ import annotations
 
 import csv
-import io
 import os
 import struct
 from dataclasses import dataclass
@@ -150,24 +149,32 @@ def _record_dtype(dim: int) -> np.dtype:
     return np.dtype([("id", "<u8"), ("label_id", "<u4"), ("values", "<f4", (dim,))])
 
 
-def to_fvec_bytes(ds: Dataset) -> bytes:
-    """Serialize a dataset to the fvec wire format."""
-    buf = io.BytesIO()
-    buf.write(FVEC_MAGIC)
-    buf.write(struct.pack("<HII", FVEC_VERSION, ds.dim, len(ds.labels)))
+FVEC_BLOCK_ROWS = 4096
+
+
+def fvec_chunks(ds: Dataset) -> Iterator[bytes]:
+    """The fvec wire format of a dataset in pieces: the header, then the
+    records in blocks of FVEC_BLOCK_ROWS rows."""
+    header = [FVEC_MAGIC, struct.pack("<HII", FVEC_VERSION, ds.dim, len(ds.labels))]
     for label in ds.labels:
         raw = label.encode("utf-8")
         if len(raw) > 0xFFFF:
             raise ValueError(f"label too long for fvec format: {label[:32]}...")
-        buf.write(struct.pack("<H", len(raw)))
-        buf.write(raw)
-    buf.write(struct.pack("<Q", len(ds)))
-    records = np.zeros(len(ds), dtype=_record_dtype(ds.dim))
-    records["id"] = ds.ids
-    records["label_id"] = ds.label_ids
-    records["values"] = ds.vectors
-    buf.write(records.tobytes())
-    return buf.getvalue()
+        header += [struct.pack("<H", len(raw)), raw]
+    header.append(struct.pack("<Q", len(ds)))
+    yield b"".join(header)
+    for lo in range(0, len(ds), FVEC_BLOCK_ROWS):
+        hi = min(lo + FVEC_BLOCK_ROWS, len(ds))
+        records = np.zeros(hi - lo, dtype=_record_dtype(ds.dim))
+        records["id"] = ds.ids[lo:hi]
+        records["label_id"] = ds.label_ids[lo:hi]
+        records["values"] = ds.vectors[lo:hi]
+        yield records.tobytes()
+
+
+def to_fvec_bytes(ds: Dataset) -> bytes:
+    """Serialize a dataset to the fvec wire format."""
+    return b"".join(fvec_chunks(ds))
 
 
 def from_fvec_bytes(data: bytes) -> Dataset:
@@ -325,7 +332,7 @@ def save_dataset(ds: Dataset, path: str | os.PathLike, fmt: str | None = None) -
     fmt = _infer_format(path, fmt)
     if fmt == "fvec":
         with open(path, "wb") as fh:
-            fh.write(to_fvec_bytes(ds))
+            fh.writelines(fvec_chunks(ds))
     else:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             _write_csv(ds, fh)

@@ -22,7 +22,8 @@ import numpy as np
 
 from .binary_lsh import BinaryLshIndex, BinaryLshParams
 from .dataset import Dataset
-from .exact import knn_exact
+from .distances import check_metric, distances_to, rank_top_k
+from .exact import QueryStats, knn_exact
 from .real_lsh import DEFAULT_WIDTH, RealLshIndex, RealLshParams, child_rng
 from .tables import label_majorities
 
@@ -181,15 +182,33 @@ def select_queries(
     return queries
 
 
+def _params(kind: str, L: int, K: int, w: float, seed: int) -> RealLshParams | BinaryLshParams:
+    if kind == "real":
+        return RealLshParams(L=L, K=K, w=w, seed=seed)
+    if kind == "binary":
+        return BinaryLshParams(L=L, K=K, seed=seed)
+    raise ValueError(f"unknown index kind {kind!r}")
+
+
+_FAMILIES = {"real": RealLshIndex, "binary": BinaryLshIndex}
+
+
 def make_index(
     kind: str, ds: Dataset, L: int, K: int, w: float = DEFAULT_WIDTH, seed: int = 0
 ) -> RealLshIndex | BinaryLshIndex:
     """Build the ``kind`` ("real" or "binary") index; w is unused by "binary"."""
-    if kind == "real":
-        return RealLshIndex.build(ds, RealLshParams(L=L, K=K, w=w, seed=seed))
-    if kind == "binary":
-        return BinaryLshIndex.build(ds, BinaryLshParams(L=L, K=K, seed=seed))
-    raise ValueError(f"unknown index kind {kind!r}")
+    params = _params(kind, L, K, w, seed)
+    return _FAMILIES[kind].build(ds, params)
+
+
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+
+
+def _check_kind(index_kind: str) -> None:
+    if index_kind not in INDEX_KINDS:
+        raise ValueError(f"index_kind must be one of {INDEX_KINDS}, got {index_kind!r}")
 
 
 def _backend_query(backend, ds: Dataset, q, k: int, metric: str):
@@ -249,6 +268,26 @@ class QueryOutcome:
         return self.seq_cost / self.charged_cost
 
 
+def _relevant(ds: Dataset, query_id: int) -> set[int]:
+    """The query's class members other than itself; ValueError when none."""
+    relevant = {int(i) for i in ds.class_ids(ds.get(query_id).label_id)} - {query_id}
+    if not relevant:
+        raise ValueError(f"query {query_id}: its class has no other member")
+    return relevant
+
+
+def _outcome(query_id: int, ranked, relevant: set[int], n: int, stats: QueryStats) -> QueryOutcome:
+    raw = stats.distance_computations
+    return QueryOutcome(
+        query_id=query_id,
+        ap=average_precision(ranked, relevant),
+        seq_cost=n,
+        index_cost=raw,
+        charged_cost=max(1, raw),
+        empty_candidates=stats.candidates_examined == 0,
+    )
+
+
 def run_config(
     ds: Dataset,
     held_out_queries: Sequence[int],
@@ -264,55 +303,115 @@ def run_config(
 
     The full dataset is indexed; each held-out query is excluded from its
     own relevant set and result list. An empty candidate set is charged cost
-    1 (and flagged with a warning) to keep the efficiency ratio defined.
+    1 (and flagged with a warning) to keep the efficiency ratio defined. An
+    index kind is the one-cell case of :func:`evaluate_grid`; "none" ranks
+    each query by exact scan.
     """
-    if index_kind not in INDEX_KINDS:
-        raise ValueError(f"index_kind must be one of {INDEX_KINDS}, got {index_kind!r}")
+    _check_kind(index_kind)
     if not held_out_queries:
         raise ValueError("held_out_queries must be non-empty")
-    if index_kind != "none" and (L is None or K is None):
-        raise ValueError(f"L and K are required for index kind {index_kind!r}")
+    _check_k(k)
+    if index_kind != "none":
+        if L is None or K is None:
+            raise ValueError(f"L and K are required for index kind {index_kind!r}")
+        return evaluate_grid(ds, held_out_queries, index_kind, [L], [K], w, seed, k, metric)[0]
 
-    backend = "exact" if index_kind == "none" else make_index(index_kind, ds, L, K, w, seed)
-
-    n = len(ds)
-    outcomes: list[QueryOutcome] = []
+    outcomes = []
     for qid in held_out_queries:
-        fv = ds.get(qid)
-        relevant = {int(i) for i in ds.class_ids(fv.label_id)} - {qid}
-        if not relevant:
-            raise ValueError(f"query {qid}: its class has no other member")
-        ranked, stats = _ranked_excluding(backend, ds, qid, k, metric)
-        raw = stats.distance_computations
-        outcomes.append(
-            QueryOutcome(
-                query_id=qid,
-                ap=average_precision(ranked, relevant),
-                seq_cost=n,
-                index_cost=raw,
-                charged_cost=max(1, raw),
-                empty_candidates=stats.candidates_examined == 0,
-            )
-        )
-
-    empty = sum(o.empty_candidates for o in outcomes)
-    if empty:
-        warnings.warn(
-            f"{empty} of {len(outcomes)} queries hit an empty candidate set; "
-            "each charged cost 1",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
+        relevant = _relevant(ds, qid)
+        ranked, stats = _ranked_excluding("exact", ds, qid, k, metric)
+        outcomes.append(_outcome(qid, ranked, relevant, len(ds), stats))
     mean_ap = float(np.mean([o.ap for o in outcomes]))
-    if index_kind == "none":
-        report = EvalReport(0, 0, mean_ap, 1.0, 0.0, 0.0, 0, 0, 0.0, 0.0)
-    else:
-        ie = improvement_in_efficiency(
-            sum(o.seq_cost for o in outcomes), sum(o.charged_cost for o in outcomes)
+    return EvalReport(0, 0, mean_ap, 1.0, 0.0, 0.0, 0, 0, 0.0, 0.0), outcomes
+
+
+def evaluate_grid(
+    ds: Dataset,
+    query_ids: Sequence[int],
+    index_kind: str,
+    L_values: Sequence[int],
+    K_values: Sequence[int],
+    w: float = DEFAULT_WIDTH,
+    seed: int = 0,
+    k: int = 10,
+    metric: str = "cosine",
+) -> list[tuple[EvalReport, list[QueryOutcome]]]:
+    """run_config(ds, query_ids, index_kind, L, K, ...) of every (L, K) grid
+    cell, in grid order (L outer, K inner), from one hash pass.
+
+    Coefficients at (table t, slot j) depend only on (seed, t, j), so the
+    index of cell (L, K) is the first L tables of the (max L, max K) index
+    with its keys cut to K slots. The queries are hashed once; the dataset
+    one table at a time, so memory stays at one (n, max K) block and one
+    table per K. Each (table, K) table keeps its bucket statistics and the
+    queries' buckets, then is dropped. A query's distances are computed once,
+    over every row a cell gives it, and each cell ranks its own candidates;
+    the results are those of building and querying every cell's own index.
+    """
+    _check_kind(index_kind)
+    if not query_ids:
+        raise ValueError("held_out_queries must be non-empty")
+    _check_k(k)
+    check_metric(metric)
+    if not L_values or not K_values:
+        raise ValueError("L_values and K_values must be non-empty")
+    grid = [(L, K) for L in L_values for K in K_values]
+    for L, K in grid:
+        _params(index_kind, L, K, w, seed)
+    top = _FAMILIES[index_kind].with_coefficients(
+        ds, _params(index_kind, max(L_values), max(K_values), w, seed)
+    )
+    relevant = [_relevant(ds, qid) for qid in query_ids]
+    rows = ds.rows_of(query_ids)
+    Ks = sorted(set(K_values))
+
+    # per K, per table: the queries' bucket rows, and each bucket's
+    # majority-label count and size
+    qwords = top._table_keys(ds.values64[rows])
+    hits: dict[int, list] = {K: [] for K in Ks}
+    label_counts: dict[int, list] = {K: [] for K in Ks}
+    for t in range(top.params.L):
+        words = top._table_keys(ds.values64, slice(t, t + 1))[:, 0]
+        for K, table in top._prefix_tables(words, Ks).items():
+            hits[K].append(table.buckets(top._key_prefix(qwords[:, t], K)))
+            label_counts[K].append(label_majorities([table], ds.label_ids))
+
+    cells = list(dict.fromkeys(grid))
+    outcomes: dict[tuple[int, int], list[QueryOutcome]] = {cell: [] for cell in cells}
+    n = len(ds)
+    for i, (qid, row) in enumerate(zip(query_ids, rows)):
+        parts = {K: [members[bounds[i] : bounds[i + 1]] for members, bounds in hits[K]] for K in Ks}
+        union = np.unique(np.concatenate([p for K in Ks for p in parts[K]]))
+        dists = distances_to(ds.values64[union], ds.vectors[row], metric)
+        for L, K in cells:
+            multiset = np.concatenate(parts[K][:L])
+            unique = np.unique(multiset)
+            results = rank_top_k(ds.ids[unique], dists[np.searchsorted(union, unique)], k + 1)
+            ranked = [rid for rid, _ in results if rid != qid][:k]
+            stats = QueryStats(distance_computations=len(multiset), candidates_examined=len(unique))
+            outcomes[L, K].append(_outcome(qid, ranked, relevant[i], n, stats))
+
+    reports = {}
+    for L, K in cells:
+        outs = outcomes[L, K]
+        majorities, sizes = (np.concatenate(arrays) for arrays in zip(*label_counts[K][:L]))
+        reports[L, K] = EvalReport(
+            L,
+            K,
+            float(np.mean([o.ap for o in outs])),
+            improvement_in_efficiency(sum(o.seq_cost for o in outs), sum(o.charged_cost for o in outs)),
+            *astuple(_bucket_stats(majorities, sizes)),
         )
-        report = EvalReport(L, K, mean_ap, ie, *astuple(bucket_statistics(backend)))
-    return report, outcomes
+    for cell in grid:
+        empty = sum(o.empty_candidates for o in outcomes[cell])
+        if empty:
+            warnings.warn(
+                f"{empty} of {len(outcomes[cell])} queries hit an empty candidate set; "
+                "each charged cost 1",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+    return [(reports[cell], list(outcomes[cell])) for cell in grid]
 
 
 def parameter_sweep(
@@ -329,19 +428,13 @@ def parameter_sweep(
     """One EvalReport per (L, K) grid cell, in grid order (L outer, K inner).
 
     All cells share the same seed and the same held-out queries, so rows are
-    comparable and reproducible.
+    comparable and reproducible; :func:`evaluate_grid` computes them.
     """
-    if not L_values or not K_values:
-        raise ValueError("L_values and K_values must be non-empty")
     if index_kind == "none":
         raise ValueError("parameter_sweep needs an index kind; use run_config for the baseline")
     if query_ids is None:
         query_ids = select_queries(ds, seed=seed)
-    return [
-        run_config(ds, query_ids, index_kind, L=L, K=K, w=w, seed=seed, k=k, metric=metric)[0]
-        for L in L_values
-        for K in K_values
-    ]
+    return [report for report, _ in evaluate_grid(ds, query_ids, index_kind, L_values, K_values, w, seed, k, metric)]
 
 
 def sweep_csv_text(reports: Sequence[EvalReport]) -> str:
@@ -409,6 +502,7 @@ def class_analysis(
     restrict the protocol (classes left with no query are skipped). Classes
     need at least 2 samples so the relevant set is never empty.
     """
+    _check_k(k)
     allowed = None if query_ids is None else {int(i) for i in query_ids}
     reports: list[ClassReport] = []
     for label_id in range(len(ds.labels)):
@@ -496,6 +590,7 @@ def distractor_contamination(
     dataset must carry the source flags attached by merge_datasets. Queries
     default to every source-a vector. Self-matches count like any result.
     """
+    _check_k(k)
     ds = backend if isinstance(backend, Dataset) else backend.dataset
     if ds.sources is None:
         raise ValueError("dataset carries no source flags; build it with merge_datasets")

@@ -27,7 +27,7 @@ import tempfile
 import numpy as np
 
 from .binary_lsh import BinaryLshIndex, BinaryLshParams
-from .dataset import Dataset, to_fvec_bytes
+from .dataset import Dataset, fvec_chunks
 from .real_lsh import RealLshIndex, RealLshParams
 from .tables import TableFormatError, decode, encode
 
@@ -45,9 +45,12 @@ class SnapshotError(ValueError):
 
 
 def dataset_fingerprint(ds: Dataset) -> int:
-    """64-bit stable hash of the dataset's fvec serialization."""
-    digest = hashlib.blake2b(to_fvec_bytes(ds), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
+    """64-bit stable hash of the dataset's fvec serialization, fed to the
+    hash block by block so the whole byte string is never built."""
+    digest = hashlib.blake2b(digest_size=8)
+    for chunk in fvec_chunks(ds):
+        digest.update(chunk)
+    return int.from_bytes(digest.digest(), "little")
 
 
 def save_index(index: RealLshIndex | BinaryLshIndex, path: str | os.PathLike) -> None:

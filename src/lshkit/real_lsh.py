@@ -16,7 +16,7 @@ import numpy as np
 from .dataset import Dataset
 from .distances import as_query, check_metric, distances_to, rank_top_k
 from .exact import QueryStats
-from .tables import BucketTable, as_dicts, build_tables, gather
+from .tables import BucketTable, as_dicts, build_tables, gather, prefix_tables
 
 _MASK64 = (1 << 64) - 1
 
@@ -88,8 +88,10 @@ def projection_hash(vector, fn: ProjectionFunction, width: float) -> int:
 class LshIndex:
     """An index of one hash family over a dataset: the family's coefficients
     plus L flat bucket tables. Frozen after build: concurrent readers, no
-    mutation. A family supplies ``_table_keys`` (the (n, L, W) key words of
-    a float64 batch) and ``_key_of`` (key words -> the key's Python form)."""
+    mutation. A family supplies ``with_coefficients`` (an index of the params
+    with no tables), ``_table_keys`` (the (n, L, W) key words of a float64
+    batch), ``_key_prefix`` (the key words of a shorter key) and ``_key_of``
+    (key words -> the key's Python form)."""
 
     kind: str
 
@@ -98,6 +100,18 @@ class LshIndex:
         self.dim = dim
         self.bucket_tables = list(tables)
         self.dataset = dataset
+
+    @classmethod
+    def build(cls, ds: Dataset, params):
+        """Draw the coefficients of ``params`` and hash ``ds`` into L tables."""
+        index = cls.with_coefficients(ds, params)
+        index.bucket_tables = build_tables(index._table_keys(ds.values64))
+        return index
+
+    def _prefix_tables(self, words: np.ndarray, Ks) -> dict[int, BucketTable]:
+        """For each K in ``Ks``, the table that an index with K slots builds,
+        from the (n, W) key words of one table of this index."""
+        return {K: BucketTable.build(self._key_prefix(words, K)) for K in Ks}
 
     @property
     def tables(self) -> list[dict]:
@@ -142,8 +156,9 @@ class RealLshIndex(LshIndex):
 
     kind = "real"
     _key_of = tuple
-    # each family holds candidates and query as its own attributes, so
-    # per-class instrumentation can wrap them
+    # each family holds build, candidates and query as its own attributes,
+    # so per-class instrumentation can wrap them
+    build = LshIndex.__dict__["build"]
     candidates = LshIndex.candidates
     query = LshIndex.query
 
@@ -159,11 +174,13 @@ class RealLshIndex(LshIndex):
         super().__init__(params, dim, tables, dataset)
         self.axes = np.ascontiguousarray(axes, dtype=np.float32).reshape(params.L, params.K, dim)
         self.offsets = np.ascontiguousarray(offsets, dtype=np.float32).reshape(params.L, params.K)
-        self._axes64 = self.axes.reshape(params.L * params.K, dim).astype(np.float64)
-        self._offsets64 = self.offsets.reshape(-1).astype(np.float64)
+        self._axes64 = self.axes.astype(np.float64)
+        self._offsets64 = self.offsets.astype(np.float64)
 
     @classmethod
-    def build(cls, ds: Dataset, params: RealLshParams) -> "RealLshIndex":
+    def with_coefficients(cls, ds: Dataset, params: RealLshParams) -> "RealLshIndex":
+        """The index of ``params`` over ``ds`` with its projections drawn and
+        no tables yet."""
         if len(ds) == 0:
             raise ValueError("cannot build an index over an empty dataset")
         axes = np.empty((params.L, params.K, ds.dim), dtype=np.float32)
@@ -173,15 +190,23 @@ class RealLshIndex(LshIndex):
                 rng = child_rng(params.seed, STREAM_REAL, t, j)
                 axes[t, j] = rng.standard_normal(ds.dim).astype(np.float32)
                 offsets[t, j] = np.float32(rng.uniform(0.0, params.w))
-        index = cls(params, ds.dim, axes, offsets, [], ds)
-        index.bucket_tables = build_tables(index._table_keys(ds.values64))
-        return index
+        return cls(params, ds.dim, axes, offsets, [], ds)
 
-    def _table_keys(self, values64: np.ndarray) -> np.ndarray:
-        """(n, L, K) integer hash array for a float64 batch."""
-        L, K = self.params.L, self.params.K
-        flat = _floor_keys(values64, self._axes64, self._offsets64, self.params.w)
-        return flat.reshape(-1, L, K)
+    def _table_keys(self, values64: np.ndarray, tables: slice = slice(None)) -> np.ndarray:
+        """(n, L, K) integer hash array for a float64 batch; ``tables``
+        selects a range of the L tables."""
+        axes, offsets = self._axes64[tables], self._offsets64[tables]
+        flat = _floor_keys(values64, axes.reshape(-1, self.dim), offsets.reshape(-1), self.params.w)
+        return flat.reshape(-1, len(axes), self.params.K)
+
+    @staticmethod
+    def _key_prefix(words: np.ndarray, K: int) -> np.ndarray:
+        """A K-slot key is the first K hashes of a longer one."""
+        return words[..., :K]
+
+    @staticmethod
+    def _prefix_tables(words: np.ndarray, Ks) -> dict[int, BucketTable]:
+        return dict(zip(Ks, prefix_tables(words, Ks)))
 
     def projection(self, table_index: int, slot: int) -> ProjectionFunction:
         return ProjectionFunction(self.axes[table_index, slot], float(self.offsets[table_index, slot]))

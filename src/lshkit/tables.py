@@ -54,6 +54,15 @@ class BucketTable:
         hi = self.keys.searchsorted(key, "right")
         return self.rows[self.offsets[lo] : self.offsets[hi]]
 
+    def buckets(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows stored under each of the (m, W) key words, concatenated, and
+        the m + 1 bounds that split them by key."""
+        keys = _as_void(words)
+        lo = self.offsets[self.keys.searchsorted(keys)]
+        sizes = self.offsets[self.keys.searchsorted(keys, "right")] - lo
+        bounds = np.concatenate(([0], np.cumsum(sizes)))
+        return self.rows[np.repeat(lo - bounds[:-1], sizes) + np.arange(bounds[-1])], bounds
+
     def first_appearance(self) -> np.ndarray:
         """Bucket numbers ordered by each bucket's smallest row."""
         return np.argsort(self.rows[self.offsets[:-1]])
@@ -62,6 +71,27 @@ class BucketTable:
 def build_tables(words: np.ndarray) -> list[BucketTable]:
     """One table per column of the (n, L, W) key words."""
     return [BucketTable.build(words[:, t]) for t in range(words.shape[1])]
+
+
+def prefix_tables(words: np.ndarray, widths: Sequence[int]) -> list[BucketTable]:
+    """``BucketTable.build(words[:, :w])`` for each width w, from one sort of
+    the full (n, W) key words.
+
+    Byte order compares a key's leading words first, so the buckets of a
+    shorter key are runs of the full keys' sorted order; each run's rows are
+    then put back in ascending order.
+    """
+    n = len(words)
+    order = np.argsort(_as_void(words), kind="stable")
+    ordered = words[order]
+    out = []
+    for width in widths:
+        new = np.ones(n, dtype=bool)
+        new[1:] = (ordered[1:, :width] != ordered[:-1, :width]).any(axis=1)
+        starts = np.flatnonzero(new)
+        rows = np.sort((np.cumsum(new) - 1) * n + order) % n
+        out.append(BucketTable(np.ascontiguousarray(ordered[starts, :width]), np.append(starts, n), rows))
+    return out
 
 
 def gather(tables: Sequence[BucketTable], words: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ from lshkit import (
     load_dataset,
     load_index,
     parameter_sweep,
+    run_config,
     select_queries,
     sweep_csv_text,
 )
@@ -207,3 +208,30 @@ def test_seed_required_for_sweep(dataset_file, tmp_path):
         main(["sweep", "--input", str(dataset_file), "--index", "real",
               "--L", "1", "--K", "1", "--out", str(tmp_path / "s.csv")])
     assert exc.value.code == 2
+
+
+def test_sweep_per_query_rows_equal_per_cell_run_config(dataset_file, tmp_path):
+    out, per_query = tmp_path / "sweep.csv", tmp_path / "pq.csv"
+    rc = main(["sweep", "--input", str(dataset_file), "--index", "binary",
+               "--L", "3,1", "--K", "4,2,4", "--seed", "5", "--k", "6", "--metric", "euclidean",
+               "--out", str(out), "--per-query-out", str(per_query)])
+    assert rc == 0
+    ds = load_dataset(dataset_file)
+    queries = select_queries(ds, seed=5)
+    lines = ["L,K,query_id,ap,seq_cost,index_cost,charged_cost,ie"]
+    for L in (3, 1):
+        for K in (4, 2, 4):
+            outcomes = run_config(ds, queries, "binary", L=L, K=K, seed=5, k=6, metric="euclidean")[1]
+            lines.extend(
+                f"{L},{K},{o.query_id},{o.ap},{o.seq_cost},{o.index_cost},{o.charged_cost},{o.ie}"
+                for o in outcomes
+            )
+    assert per_query.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_sweep_with_non_positive_k_exits_1(dataset_file, tmp_path, capsys):
+    rc = main(["sweep", "--input", str(dataset_file), "--index", "real", "--L", "1", "--K", "1",
+               "--seed", "1", "--k", "0", "--out", str(tmp_path / "s.csv")])
+    assert rc == 1
+    assert "k must be positive, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()

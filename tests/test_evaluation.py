@@ -506,3 +506,28 @@ def test_contamination_requires_source_flags():
     ds = generate_synthetic(2, 4, 8, 0.1, seed=30)
     with pytest.raises(ValueError, match="source"):
         distractor_contamination(ds, k=3)
+
+
+# ---------------------------------------------------------------------------
+# k < 1
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_non_positive_k_raises_naming_it(k):
+    ds = generate_synthetic(3, 6, 8, 0.3, seed=40)
+    queries = select_queries(ds, seed=40)
+    message = f"k must be positive, got {k}$"
+    index = build_real_index(ds, RealLshParams(L=2, K=1, seed=40))
+    calls = [
+        lambda: run_config(ds, queries, "none", k=k),
+        lambda: run_config(ds, queries, "real", L=2, K=1, k=k),
+        lambda: run_config(ds, queries, "binary", L=2, K=1, k=k),
+        lambda: parameter_sweep(ds, [1], [1], "real", k=k),
+        lambda: class_analysis(ds, "exact", k=k),
+        lambda: class_analysis(ds, index, k=k),
+        lambda: distractor_contamination(merge_datasets(ds, ds), k=k),
+        lambda: distractor_contamination(build_real_index(merge_datasets(ds, ds), RealLshParams(1, 1)), k=k),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()

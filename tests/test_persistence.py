@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from lshkit import (
     BinaryLshParams,
+    Dataset,
     RealLshParams,
     SnapshotError,
     build_binary_index,
@@ -14,6 +16,7 @@ from lshkit import (
     load_index,
     save_index,
 )
+from lshkit.dataset import FVEC_BLOCK_ROWS, to_fvec_bytes
 from lshkit.tables import BucketTable
 
 
@@ -282,3 +285,18 @@ def test_coefficients_that_overflow_dataset_keys_rejected(tmp_path):
     patched(path, HEADER_BYTES, "<f", 3e38)
     with pytest.raises(SnapshotError, match="overflow"):
         load_index(path, ds)
+
+
+@pytest.mark.parametrize(
+    "ds",
+    [
+        Dataset(5, [], np.array([], dtype=np.int64), np.array([], dtype=np.int64), np.zeros((0, 5))),
+        Dataset(3, ["ünïcode", "日本語", "é"], np.array([4, 9, 1]), np.array([2, 0, 1]),
+                np.arange(9, dtype=np.float32).reshape(3, 3)),
+        generate_synthetic(5, FVEC_BLOCK_ROWS // 2 + 1, 5, 0.5, seed=3),
+    ],
+    ids=["empty", "non-ascii-labels", "several-blocks"],
+)
+def test_fingerprint_hashes_the_fvec_bytes(ds):
+    expected = hashlib.blake2b(to_fvec_bytes(ds), digest_size=8).digest()
+    assert dataset_fingerprint(ds) == int.from_bytes(expected, "little")
