@@ -43,8 +43,10 @@ SWEEP_CSV_HEADER = (
 def average_precision(ranked_ids: Sequence[int], relevant) -> float:
     """Mean of precision-at-rank over the relevant ranks, divided by the
     number of relevant items; 1.0 exactly when the relevant items fill the
-    top |relevant| ranks."""
-    relevant = {int(i) for i in relevant}
+    top |relevant| ranks. A set or frozenset is used as given; any other
+    iterable is converted to a set of ints."""
+    if not isinstance(relevant, (set, frozenset)):
+        relevant = {int(i) for i in relevant}
     if not relevant:
         raise ValueError("relevant set must be non-empty")
     hits = 0

@@ -63,6 +63,18 @@ def test_ap_empty_relevant_raises():
         average_precision([1, 2], set())
 
 
+def test_ap_same_for_every_relevant_container():
+    ranked = [5, 1, 9, 3, 7, 2]
+    ids = [3, 9, 2, 8]
+    containers = [ids, set(ids), frozenset(ids), np.array(ids), np.array(ids, dtype=np.int32)]
+    values = [average_precision(ranked, rel) for rel in containers]
+    assert values == [values[0]] * len(containers)
+    assert abs(values[0] - oracle_average_precision(ranked, set(ids))) < TOL
+    for empty in ([], set(), frozenset(), np.array([], dtype=np.int64)):
+        with pytest.raises(ValueError, match="relevant"):
+            average_precision(ranked, empty)
+
+
 def test_map_single_query_is_its_ap():
     ranked, rel = [3, 1, 2], {2}
     assert mean_average_precision([(ranked, rel)]) == average_precision(ranked, rel)

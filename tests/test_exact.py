@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from lshkit import Dataset, QueryStats, knn_exact
-from lshkit.distances import cosine_distances
+from lshkit.distances import CHUNK_ROWS, cosine_distances, euclidean_distances, rank_top_k
 
 from helpers import oracle_ranking
 
@@ -91,3 +93,134 @@ def test_rejects_unknown_metric():
     ds = make_dataset(5, 4, seed=6)
     with pytest.raises(ValueError, match="metric"):
         knn_exact(ds, np.zeros(4), k=1, metric="manhattan")
+
+
+# ---------------------------------------------------------------------------
+# chunked kernels and partition ranking against the whole-matrix forms
+# ---------------------------------------------------------------------------
+
+def oracle_normalize_rows(matrix):
+    m = np.asarray(matrix, dtype=np.float64)
+    norms = np.sqrt((m * m).sum(axis=1))
+    out = np.zeros_like(m)
+    nonzero = norms > 0
+    out[nonzero] = m[nonzero] / norms[nonzero, None]
+    return out
+
+
+def oracle_euclidean(matrix, q):
+    m = np.asarray(matrix, dtype=np.float64)
+    diff = m - np.asarray(q, dtype=np.float64)
+    return np.sqrt((diff * diff).sum(axis=1))
+
+
+def oracle_cosine(matrix, q):
+    m = np.asarray(matrix, dtype=np.float64)
+    mn = oracle_normalize_rows(m)
+    qn = oracle_normalize_rows(np.asarray(q, dtype=np.float64).reshape(1, -1))[0]
+    diff = mn - qn
+    dists = 0.5 * (diff * diff).sum(axis=1)
+    row_zero = ~mn.any(axis=1)
+    if not qn.any():
+        dists[:] = 1.0
+    else:
+        dists[row_zero] = 1.0
+    return dists
+
+
+KERNELS = [(cosine_distances, oracle_cosine), (euclidean_distances, oracle_euclidean)]
+
+
+def assert_bit_identical(a, b):
+    assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("kernel,oracle", KERNELS)
+@pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 7])
+@pytest.mark.parametrize("dim", [1, 3, 128, 129])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_kernels_bit_identical_to_whole_matrix(kernel, oracle, n, dim, dtype):
+    rng = np.random.default_rng(n * 1000 + dim)
+    matrix = (rng.standard_normal((n, dim)) * 3).astype(dtype)
+    matrix[::97] = 0.0
+    queries = [rng.standard_normal(dim).astype(np.float32), np.zeros(dim, np.float32)]
+    if n:
+        queries.append(matrix[n // 2].astype(np.float32))
+    for q in queries:
+        assert_bit_identical(kernel(matrix, q), oracle(matrix, q))
+
+
+@pytest.mark.parametrize("kernel,oracle", KERNELS)
+def test_kernels_bit_identical_on_extreme_rows(kernel, oracle):
+    rng = np.random.default_rng(7)
+    matrix = rng.standard_normal((2 * CHUNK_ROWS + 3, 5))
+    matrix[1] = 0.0
+    matrix[CHUNK_ROWS] = 1e-200  # squares underflow to 0
+    matrix[CHUNK_ROWS + 1] = 1e200  # squares overflow to inf
+    matrix[CHUNK_ROWS + 2, 0] = 1e-200
+    matrix[-1] = 1e-30
+    for q in [rng.standard_normal(5), np.zeros(5), matrix[-1]]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = oracle(matrix, q)
+            got = kernel(matrix, q)
+        assert_bit_identical(got, expected)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cos = cosine_distances(matrix, rng.standard_normal(5))
+    assert cos[[1, CHUNK_ROWS, CHUNK_ROWS + 1]].tolist() == [1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_self_distance_zero_in_every_chunk(metric):
+    ds = make_dataset(3 * CHUNK_ROWS + 7, 16, seed=8)
+    for row in [0, CHUNK_ROWS - 1, CHUNK_ROWS, 2 * CHUNK_ROWS + 5, len(ds) - 1]:
+        results, _ = knn_exact(ds, ds.vectors[row], k=1, metric=metric)
+        assert results == [(int(ds.ids[row]), 0.0)]
+
+
+def oracle_rank(ids, dists, k):
+    order = np.lexsort((ids, dists))[:k]
+    return [(int(ids[i]), float(dists[i])) for i in order]
+
+
+def test_rank_top_k_matches_full_lexsort():
+    rng = np.random.default_rng(9)
+    for trial in range(100):
+        n = int(rng.integers(1, 80))
+        # few distinct values: ties on both sides of the k-th distance
+        dists = rng.integers(0, 1 + trial % 6, n).astype(np.float64) / 4
+        ids = rng.permutation(5 * n)[:n]
+        for k in sorted({1, 2, n // 2 + 1, n - 1, n, n + 5} - {0}):
+            assert rank_top_k(ids, dists, k) == oracle_rank(ids, dists, k)
+
+
+def test_rank_top_k_ties_at_the_cut_keep_ascending_ids():
+    ids = np.array([40, 3, 17, 8, 25, 1, 30])
+    dists = np.array([0.5, 0.2, 0.5, 0.5, 0.1, 0.9, 0.5])
+    assert rank_top_k(ids, dists, 3) == [(25, 0.1), (3, 0.2), (8, 0.5)]
+    assert rank_top_k(ids, dists, 4) == oracle_rank(ids, dists, 4)
+    equal = np.full(50, 0.25)
+    perm = np.random.default_rng(10).permutation(50)
+    assert rank_top_k(perm, equal, 5) == [(i, 0.25) for i in range(5)]
+
+
+def test_rank_top_k_empty_and_invalid_k():
+    assert rank_top_k(np.array([], dtype=np.int64), np.array([]), 3) == []
+    for k in (0, -2):
+        with pytest.raises(ValueError, match=f"k must be positive, got {k}"):
+            rank_top_k(np.arange(3), np.zeros(3), k)
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_exact_scan_makes_no_full_size_temporaries(metric):
+    ds = make_dataset(20_000, 128, seed=11, classes=10)
+    data_bytes = ds.values64.nbytes
+    q = ds.vectors[123]
+    knn_exact(ds, q, k=11, metric=metric)
+    tracemalloc.start()
+    try:
+        knn_exact(ds, q, k=11, metric=metric)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < data_bytes / 8
