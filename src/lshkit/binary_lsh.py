@@ -16,7 +16,7 @@ from .dataset import Dataset
 # the query path lives in real_lsh.LshIndex; the kernels stay importable
 # here for code that wraps this module's names
 from .distances import as_query, distances_to, rank_top_k  # noqa: F401
-from .real_lsh import STREAM_BINARY, LshIndex, child_rng
+from .real_lsh import STREAM_BINARY, LshIndex
 from .tables import BucketTable
 
 MAX_SIGNATURE_BITS = 64
@@ -49,6 +49,7 @@ class BinaryLshIndex(LshIndex):
     """SimHash index: one K-bit signature key per table."""
 
     kind = "binary"
+    stream = STREAM_BINARY
     _key_of = staticmethod(lambda words: words[0])
     # own attributes, as in RealLshIndex
     build = LshIndex.__dict__["build"]
@@ -67,22 +68,14 @@ class BinaryLshIndex(LshIndex):
         self.hyperplanes = np.ascontiguousarray(hyperplanes, dtype=np.float32).reshape(
             params.L, params.K, dim
         )
+        self.coefficients = (self.hyperplanes,)
         self._planes64 = self.hyperplanes.astype(np.float64)
         # most-significant-first bit weights: slot 0 occupies the top bit
         self._weights = np.array([1 << (params.K - 1 - j) for j in range(params.K)], dtype=np.uint64)
 
-    @classmethod
-    def with_coefficients(cls, ds: Dataset, params: BinaryLshParams) -> "BinaryLshIndex":
-        """The index of ``params`` over ``ds`` with its hyperplanes drawn and
-        no tables yet."""
-        if len(ds) == 0:
-            raise ValueError("cannot build an index over an empty dataset")
-        planes = np.empty((params.L, params.K, ds.dim), dtype=np.float32)
-        for t in range(params.L):
-            for j in range(params.K):
-                rng = child_rng(params.seed, STREAM_BINARY, t, j)
-                planes[t, j] = rng.standard_normal(ds.dim).astype(np.float32)
-        return cls(params, ds.dim, planes, [], ds)
+    @staticmethod
+    def _draw(rng: np.random.Generator, dim: int, params: BinaryLshParams):
+        return (rng.standard_normal(dim).astype(np.float32),)
 
     def _table_keys(self, values64: np.ndarray, tables: slice = slice(None)) -> np.ndarray:
         """(n, L, 1) array of K-bit signatures for a float64 batch; ``tables``

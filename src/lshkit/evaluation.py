@@ -78,7 +78,7 @@ def improvement_in_efficiency(seq_cost: int, index_cost: int) -> float:
 
 
 def pearson_correlation(xs, ys) -> float:
-    """Standard product-moment coefficient; requires two non-constant
+    """Standard product-moment coefficient; requires two finite, non-constant
     sequences of equal length >= 2."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
@@ -86,6 +86,8 @@ def pearson_correlation(xs, ys) -> float:
         raise ValueError(f"length mismatch: {xs.shape} vs {ys.shape}")
     if len(xs) < 2:
         raise ValueError("need at least 2 points")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("correlation undefined for non-finite input")
     dx = xs - xs.mean()
     dy = ys - ys.mean()
     sx = np.sqrt((dx * dx).sum())
@@ -499,13 +501,16 @@ def class_analysis(
 ) -> list[ClassReport]:
     """Query every class with its own samples and aggregate per-class AP.
 
-    backend is the string "exact" or a built index over ds. By default every
-    sample of every class is used as a query in turn; pass query_ids to
-    restrict the protocol (classes left with no query are skipped). Classes
+    backend is the string "exact" or a built index over ds (ValueError for an
+    index over another dataset). By default every sample of every class is
+    used as a query in turn; pass query_ids to restrict the protocol (classes
+    left with no query are skipped; KeyError names an id not in ds). Classes
     need at least 2 samples so the relevant set is never empty.
     """
     _check_k(k)
-    allowed = None if query_ids is None else {int(i) for i in query_ids}
+    if not isinstance(backend, str) and backend.dataset is not ds:
+        raise ValueError("backend is an index over a different dataset")
+    allowed = None if query_ids is None else set(ds.ids[ds.rows_of(query_ids)].tolist())
     reports: list[ClassReport] = []
     for label_id in range(len(ds.labels)):
         members = [int(i) for i in ds.class_ids(label_id)]
@@ -561,6 +566,8 @@ def read_class_metric_csv(path: str | os.PathLike) -> dict[str, float]:
                 if row_no == 1:
                     continue  # header line
                 raise ValueError(f"{path}: row {row_no}: malformed value {raw!r}") from None
+            if not np.isfinite(value):
+                raise ValueError(f"{path}: row {row_no}: non-finite value {raw!r}")
             if name in out:
                 raise ValueError(f"{path}: row {row_no}: duplicate class {name!r}")
             out[name] = value

@@ -34,7 +34,7 @@ from .tables import TableFormatError, decode, encode
 SNAPSHOT_MAGIC = b"LSHIDX"
 SNAPSHOT_VERSION = 2
 
-_KIND_CODES = {"real": 0, "binary": 1}
+_FAMILIES = (RealLshIndex, BinaryLshIndex)  # a family's position is its kind code
 _PREFIX = struct.Struct("<6sHB")  # magic, version, kind
 _PARAMS = struct.Struct("<IIdQIQ")  # L, K, w, seed, dim, fingerprint
 _MASK64 = (1 << 64) - 1
@@ -71,17 +71,13 @@ def save_index(index: RealLshIndex | BinaryLshIndex, path: str | os.PathLike) ->
 
 def _serialize(index) -> bytes:
     p = index.params
-    real = index.kind == "real"
     chunks = [
-        _PREFIX.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, _KIND_CODES[index.kind]),
-        _PARAMS.pack(p.L, p.K, p.w if real else 0.0, p.seed & _MASK64, index.dim,
+        _PREFIX.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, _FAMILIES.index(type(index))),
+        _PARAMS.pack(p.L, p.K, getattr(p, "w", 0.0), p.seed & _MASK64, index.dim,
                      dataset_fingerprint(index.dataset)),
     ]
-    if real:
-        chunks += [index.axes.astype("<f4").tobytes(), index.offsets.astype("<f4").tobytes()]
-    else:
-        chunks.append(index.hyperplanes.astype("<f4").tobytes())
-    chunks.append(encode(index.bucket_tables, p.K if real else 1, len(index.dataset)))
+    chunks += [values.astype("<f4").tobytes() for values in index.coefficients]
+    chunks.append(encode(index.bucket_tables))
     return b"".join(chunks)
 
 
@@ -128,9 +124,10 @@ def load_index(path: str | os.PathLike, ds: Dataset) -> RealLshIndex | BinaryLsh
     _, version, kind_code = reader.take(_PREFIX)
     if version != SNAPSHOT_VERSION:
         raise SnapshotError(f"unsupported snapshot version {version}")
-    if kind_code not in _KIND_CODES.values():
+    if kind_code >= len(_FAMILIES):
         raise SnapshotError(f"unknown index kind code {kind_code}")
-    real = kind_code == _KIND_CODES["real"]
+    family = _FAMILIES[kind_code]
+    real = family is RealLshIndex
     L, K, w, seed, dim, fingerprint = reader.take(_PARAMS)
     try:
         params = RealLshParams(L=L, K=K, w=w, seed=seed) if real else BinaryLshParams(L=L, K=K, seed=seed)
@@ -157,6 +154,5 @@ def load_index(path: str | os.PathLike, ds: Dataset) -> RealLshIndex | BinaryLsh
         raise SnapshotError(f"invalid bucket table: {exc}") from None
     if reader.offset != len(reader.data):
         raise SnapshotError(f"{len(reader.data) - reader.offset} trailing bytes after tables")
-    if real:
-        return RealLshIndex(params, dim, planes, offsets, tables, ds)
-    return BinaryLshIndex(params, dim, planes, tables, ds)
+    coefficients = (planes, offsets) if real else (planes,)
+    return family(params, dim, *coefficients, tables, ds)

@@ -16,7 +16,7 @@ import numpy as np
 from .dataset import Dataset
 from .distances import as_query, check_metric, distances_to, rank_top_k
 from .exact import QueryStats
-from .tables import BucketTable, as_dicts, build_tables, gather, prefix_tables
+from .tables import BucketTable, as_dicts, gather, prefix_tables
 
 _MASK64 = (1 << 64) - 1
 
@@ -88,10 +88,12 @@ def projection_hash(vector, fn: ProjectionFunction, width: float) -> int:
 class LshIndex:
     """An index of one hash family over a dataset: the family's coefficients
     plus L flat bucket tables. Frozen after build: concurrent readers, no
-    mutation. A family supplies ``with_coefficients`` (an index of the params
-    with no tables), ``_table_keys`` (the (n, L, W) key words of a float64
-    batch), ``_key_prefix`` (the key words of a shorter key) and ``_key_of``
-    (key words -> the key's Python form)."""
+    mutation. A family supplies ``stream`` (its ``child_rng`` spawn-key tag),
+    ``_draw(rng, dim, params)`` (one (table, slot)'s float32 coefficients, in
+    snapshot order), ``coefficients`` (its coefficient arrays, in the order
+    ``_draw`` and its constructor use), ``_table_keys`` (the (n, L, W) key
+    words of a float64 batch), ``_key_prefix`` (the key words of a shorter
+    key) and ``_key_of`` (key words -> the key's Python form)."""
 
     kind: str
 
@@ -102,10 +104,22 @@ class LshIndex:
         self.dataset = dataset
 
     @classmethod
+    def with_coefficients(cls, ds: Dataset, params):
+        """The index of ``params`` over ``ds`` with its coefficients drawn and
+        no tables yet."""
+        if len(ds) == 0:
+            raise ValueError("cannot build an index over an empty dataset")
+        slots = [cls._draw(child_rng(params.seed, cls.stream, t, j), ds.dim, params)
+                 for t in range(params.L) for j in range(params.K)]
+        arrays = (np.array(values, dtype=np.float32) for values in zip(*slots))
+        return cls(params, ds.dim, *arrays, [], ds)
+
+    @classmethod
     def build(cls, ds: Dataset, params):
         """Draw the coefficients of ``params`` and hash ``ds`` into L tables."""
         index = cls.with_coefficients(ds, params)
-        index.bucket_tables = build_tables(index._table_keys(ds.values64))
+        words = index._table_keys(ds.values64)
+        index.bucket_tables = [BucketTable.build(words[:, t]) for t in range(params.L)]
         return index
 
     def _prefix_tables(self, words: np.ndarray, Ks) -> dict[int, BucketTable]:
@@ -155,6 +169,7 @@ class RealLshIndex(LshIndex):
     """Projection index: one K-tuple of integer hashes as key per table."""
 
     kind = "real"
+    stream = STREAM_REAL
     _key_of = tuple
     # each family holds build, candidates and query as its own attributes,
     # so per-class instrumentation can wrap them
@@ -174,23 +189,14 @@ class RealLshIndex(LshIndex):
         super().__init__(params, dim, tables, dataset)
         self.axes = np.ascontiguousarray(axes, dtype=np.float32).reshape(params.L, params.K, dim)
         self.offsets = np.ascontiguousarray(offsets, dtype=np.float32).reshape(params.L, params.K)
+        self.coefficients = (self.axes, self.offsets)
         self._axes64 = self.axes.astype(np.float64)
         self._offsets64 = self.offsets.astype(np.float64)
 
-    @classmethod
-    def with_coefficients(cls, ds: Dataset, params: RealLshParams) -> "RealLshIndex":
-        """The index of ``params`` over ``ds`` with its projections drawn and
-        no tables yet."""
-        if len(ds) == 0:
-            raise ValueError("cannot build an index over an empty dataset")
-        axes = np.empty((params.L, params.K, ds.dim), dtype=np.float32)
-        offsets = np.empty((params.L, params.K), dtype=np.float32)
-        for t in range(params.L):
-            for j in range(params.K):
-                rng = child_rng(params.seed, STREAM_REAL, t, j)
-                axes[t, j] = rng.standard_normal(ds.dim).astype(np.float32)
-                offsets[t, j] = np.float32(rng.uniform(0.0, params.w))
-        return cls(params, ds.dim, axes, offsets, [], ds)
+    @staticmethod
+    def _draw(rng: np.random.Generator, dim: int, params: RealLshParams):
+        """Axis X, then offset b: the order that fixes every seed's coefficients."""
+        return rng.standard_normal(dim).astype(np.float32), np.float32(rng.uniform(0.0, params.w))
 
     def _table_keys(self, values64: np.ndarray, tables: slice = slice(None)) -> np.ndarray:
         """(n, L, K) integer hash array for a float64 batch; ``tables``

@@ -68,11 +68,6 @@ class BucketTable:
         return np.argsort(self.rows[self.offsets[:-1]])
 
 
-def build_tables(words: np.ndarray) -> list[BucketTable]:
-    """One table per column of the (n, L, W) key words."""
-    return [BucketTable.build(words[:, t]) for t in range(words.shape[1])]
-
-
 def prefix_tables(words: np.ndarray, widths: Sequence[int]) -> list[BucketTable]:
     """``BucketTable.build(words[:, :w])`` for each width w, from one sort of
     the full (n, W) key words.
@@ -126,8 +121,8 @@ def as_dicts(tables: Sequence[BucketTable], ids: np.ndarray, key_of: Callable[[l
     return out
 
 
-def encode(tables: Sequence[BucketTable], width: int, n: int) -> bytes:
-    chunks = [np.array([width, n], dtype="<u8").tobytes()]
+def encode(tables: Sequence[BucketTable]) -> bytes:
+    chunks = [np.array([tables[0].words.shape[1], len(tables[0].rows)], dtype="<u8").tobytes()]
     for table in tables:
         chunks += [np.array([len(table.words)], dtype="<u8").tobytes(), table.words.tobytes(),
                    table.offsets.astype("<u8").tobytes(), table.rows.astype("<u8").tobytes()]

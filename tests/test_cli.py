@@ -157,6 +157,18 @@ def test_corr_prints_coefficient(tmp_path, capsys):
     assert float(capsys.readouterr().out.strip()) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_corr_non_finite_value_exits_nonzero(tmp_path, capsys):
+    xs = tmp_path / "xs.csv"
+    ys = tmp_path / "ys.csv"
+    xs.write_text("class,value\na,1.0\nb,nan\nc,3.0\n")
+    ys.write_text("class,value\na,2.0\nb,4.0\nc,6.0\n")
+    rc = main(["corr", "--xs", str(xs), "--ys", str(ys)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "row 3: non-finite value 'nan'" in captured.err
+
+
 def test_contamination_separated_sources(tmp_path, capsys):
     a = tmp_path / "a.fvec"
     b = tmp_path / "b.fvec"

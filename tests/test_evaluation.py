@@ -235,6 +235,14 @@ def test_pearson_errors():
         pearson_correlation([1, 1, 1], [1, 2, 3])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pearson_rejects_non_finite_input(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        pearson_correlation([1.0, bad, 3.0], [1.0, 2.0, 4.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        pearson_correlation([1.0, 2.0, 4.0], [1.0, 2.0, bad])
+
+
 # ---------------------------------------------------------------------------
 # run_config
 # ---------------------------------------------------------------------------
@@ -435,6 +443,21 @@ def test_class_analysis_rejects_tiny_class():
         class_analysis(ds, "exact")
 
 
+@pytest.mark.parametrize("query_ids", [[999], [0, 999]])
+def test_class_analysis_rejects_unknown_query_ids(query_ids):
+    ds = generate_synthetic(3, 6, 8, 0.3, seed=24)
+    with pytest.raises(KeyError, match="no vector with id 999"):
+        class_analysis(ds, "exact", k=10, query_ids=query_ids)
+
+
+def test_class_analysis_rejects_index_over_another_dataset():
+    ds = generate_synthetic(3, 6, 8, 0.3, seed=24)
+    other = generate_synthetic(3, 5, 8, 0.3, seed=25)
+    index = build_binary_index(other, BinaryLshParams(L=4, K=2, seed=5))
+    with pytest.raises(ValueError, match="different dataset"):
+        class_analysis(ds, index, k=10)
+
+
 def test_class_reports_json_lines_round_trip():
     ds = generate_synthetic(3, 4, 6, 0.2, seed=25)
     reports = class_analysis(ds, "exact", k=10)
@@ -470,6 +493,14 @@ def test_read_class_metric_csv_errors(tmp_path):
     bad.write_text("a,1.0\nb,oops\n")
     with pytest.raises(ValueError, match="malformed"):
         read_class_metric_csv(bad)
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_read_class_metric_csv_rejects_non_finite(tmp_path, raw):
+    path = tmp_path / "m.csv"
+    path.write_text(f"class,value\na,1.0\nb,{raw}\nc,3.0\n")
+    with pytest.raises(ValueError, match=f"row 3: non-finite value '{raw}'"):
+        read_class_metric_csv(path)
 
 
 def test_class_metric_correlation_aligns_on_shared_classes():

@@ -42,6 +42,30 @@ def test_round_trip_preserves_query_outputs(tmp_path):
                 assert loaded.query(q, k=6, metric=metric) == index.query(q, k=6, metric=metric)
 
 
+# sha256 of the v2 bytes that save_index writes for two fixed indexes over
+# generate_synthetic(20, 30, 33, 0.4, 3); any change to the writer's bytes fails
+PINNED_SNAPSHOTS = [
+    (build_real_index, RealLshParams(L=5, K=3, w=2.5, seed=11),
+     "ce66f160e1d0a7d0fcd34a50236713d78315cc0ba5692c28c939b17d369ef889"),
+    (build_binary_index, BinaryLshParams(L=4, K=64, seed=-7),
+     "7aa4a981b106105f2023b0f35dc6f35e2cc4430d20cacc6ecd2d84e27dac09ba"),
+]
+
+
+@pytest.mark.parametrize("build, params, digest", PINNED_SNAPSHOTS)
+def test_snapshot_bytes_are_pinned(tmp_path, build, params, digest):
+    ds = generate_synthetic(20, 30, 33, 0.4, 3)
+    index = build(ds, params)
+    path = tmp_path / "pinned.idx"
+    save_index(index, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    loaded = load_index(path, ds)
+    q = np.random.default_rng(8).standard_normal(ds.dim).astype(np.float32)
+    for query in (q, ds.vectors[17]):
+        for metric in ("cosine", "euclidean"):
+            assert loaded.query(query, k=10, metric=metric) == index.query(query, k=10, metric=metric)
+
+
 def test_round_trip_preserves_coefficients_bit_exactly(tmp_path):
     ds, real, binary = make_indexes()
     save_index(real, tmp_path / "r.idx")
