@@ -46,6 +46,11 @@ class Dataset:
     every label_id indexes into ``labels``, all vectors have length ``dim``
     and contain only finite values. ``sources`` is an optional per-vector
     membership flag (0/1) attached by :func:`merge_datasets`.
+
+    Two read-only float64 caches are filled on first use, never at load:
+    ``values64`` (the vectors, 8 B per coordinate) and ``norms`` (one L2 norm
+    per row, 8 B per row, 0.8 MB at 100k rows) that the exact scan and LSH
+    queries use to skip rows that cannot reach the top k.
     """
 
     def __init__(
@@ -97,6 +102,7 @@ class Dataset:
         self._id_order = id_order
         self._sorted_ids = sorted_ids
         self._values64: np.ndarray | None = None
+        self._norms: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -139,6 +145,16 @@ class Dataset:
             self._values64 = self.vectors.astype(np.float64)
             self._values64.setflags(write=False)
         return self._values64
+
+    @property
+    def norms(self) -> np.ndarray:
+        """Float64 L2 norm of every row (8 B per row), computed on first use
+        and cached; the distance prefilter's only per-dataset state."""
+        if self._norms is None:
+            v = self.values64
+            self._norms = np.sqrt(np.einsum("ij,ij->i", v, v))
+            self._norms.setflags(write=False)
+        return self._norms
 
 
 # ---------------------------------------------------------------------------

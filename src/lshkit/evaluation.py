@@ -90,10 +90,15 @@ def pearson_correlation(xs, ys) -> float:
         raise ValueError("correlation undefined for non-finite input")
     dx = xs - xs.mean()
     dy = ys - ys.mean()
+    # scaled to a largest magnitude of 1, the squares neither overflow
+    # (1e200) nor underflow (1e-200); the coefficient is scale-free
+    scale_x, scale_y = np.abs(dx).max(), np.abs(dy).max()
+    if scale_x == 0.0 or scale_y == 0.0:
+        raise ValueError("correlation undefined for constant input")
+    dx /= scale_x
+    dy /= scale_y
     sx = np.sqrt((dx * dx).sum())
     sy = np.sqrt((dy * dy).sum())
-    if sx == 0.0 or sy == 0.0:
-        raise ValueError("correlation undefined for constant input")
     return float((dx * dy).sum() / (sx * sy))
 
 

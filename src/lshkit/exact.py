@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dataset import Dataset
-from .distances import as_query, distances_to, rank_top_k
+from .distances import as_query, distances_to, prefilter, rank_top_k
 
 
 @dataclass(frozen=True)
@@ -31,10 +31,12 @@ def knn_exact(
 ) -> tuple[list[tuple[int, float]], QueryStats]:
     """Exact top-k over all vectors, ties broken by ascending id.
 
-    Always charges exactly n distance computations.
+    Always charges exactly n distance computations, although the kernel
+    scores only the rows ``prefilter`` keeps.
     """
     qv = as_query(q, ds.dim)
-    dists = distances_to(ds.values64, qv, metric)
-    results = rank_top_k(ds.ids, dists, k)
+    keep = prefilter(ds.values64, ds.norms, qv, k, metric)
+    dists = distances_to(ds.values64[keep], qv, metric)
+    results = rank_top_k(ds.ids[keep], dists, k)
     n = len(ds)
     return results, QueryStats(distance_computations=n, candidates_examined=n)

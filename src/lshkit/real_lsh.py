@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .distances import as_query, check_metric, distances_to, rank_top_k
+from .distances import as_query, check_metric, distances_to, prefilter, rank_top_k
 from .exact import QueryStats
 from .tables import BucketTable, as_dicts, gather, prefix_tables
 
@@ -161,8 +161,10 @@ class LshIndex:
         if len(unique) == 0:
             return [], stats
         rows = self.dataset.rows_of(unique)
-        dists = distances_to(self.dataset.values64[rows], as_query(q, self.dim), metric)
-        return rank_top_k(unique, dists, k), stats
+        values, qv = self.dataset.values64[rows], as_query(q, self.dim)
+        keep = prefilter(values, self.dataset.norms[rows], qv, k, metric)
+        dists = distances_to(values[keep], qv, metric)
+        return rank_top_k(unique[keep], dists, k), stats
 
 
 class RealLshIndex(LshIndex):

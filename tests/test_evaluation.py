@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,16 @@ def test_pearson_rejects_non_finite_input(bad):
         pearson_correlation([1.0, bad, 3.0], [1.0, 2.0, 4.0])
     with pytest.raises(ValueError, match="non-finite"):
         pearson_correlation([1.0, 2.0, 4.0], [1.0, 2.0, bad])
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_pearson_is_scale_free_at_extreme_magnitudes(scale):
+    xs = [1 * scale, 2 * scale, 4 * scale]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pearson_correlation(xs, [1, 2, 4]) == pytest.approx(1.0, abs=TOL)
+        assert pearson_correlation([1, 2, 4], xs) == pytest.approx(1.0, abs=TOL)
+        assert pearson_correlation(xs, [-1, -2, -4]) == pytest.approx(-1.0, abs=TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lshkit import Dataset, QueryStats, knn_exact
-from lshkit.distances import CHUNK_ROWS, cosine_distances, euclidean_distances, rank_top_k
+from lshkit import BinaryLshIndex, BinaryLshParams, Dataset, QueryStats, distances, knn_exact
+from lshkit.distances import (
+    CHUNK_ROWS,
+    PREFILTER_MIN_ROWS,
+    cosine_distances,
+    distances_to,
+    euclidean_distances,
+    prefilter,
+    rank_top_k,
+)
 
 from helpers import oracle_ranking
 
@@ -224,3 +232,118 @@ def test_exact_scan_makes_no_full_size_temporaries(metric):
     finally:
         tracemalloc.stop()
     assert peak < data_bytes / 8
+
+
+# ---------------------------------------------------------------------------
+# the BLAS prefilter: near ties against an unfiltered oracle
+# ---------------------------------------------------------------------------
+
+def unfiltered(ids, matrix, q, k, metric):
+    """The ranking of every row by the kernel, with no prefilter."""
+    return rank_top_k(ids, distances_to(matrix, q, metric), k)
+
+
+def near_tie_dataset(dim, seed):
+    """Rows that tie or nearly tie in every way a filtered scan could get
+    wrong: duplicates, twins one float32 ulp apart, power-of-two and other
+    multiples of the query, zero rows and 1e-30 / 1e30 rows (each extreme row
+    duplicated), under shuffled ids. Returns the dataset and the query."""
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal(dim).astype(np.float32)
+    up, down = np.nextafter(q, np.float32(np.inf)), np.nextafter(q, np.float32(-np.inf))
+    nudged = [np.where(np.arange(dim) == j, up, q) for j in range(min(dim, 4))]
+    nudged += [np.where(np.arange(dim) == j, down, q) for j in range(min(dim, 4))]
+    extreme = [np.zeros(dim), 1e-30 * q, 1e30 * q, 1e-30 * rng.standard_normal(dim), 1e30 * rng.standard_normal(dim)]
+    base = rng.standard_normal((40, dim)).astype(np.float32)
+    twins = rng.standard_normal((40, dim)).astype(np.float32)
+    twins_up = twins.copy()
+    twins_up[:, 0] = np.nextafter(twins[:, 0], np.float32(np.inf))
+    rows = np.vstack([q, q, up, down, *nudged, 2 * q, 0.5 * q, 3 * q, -q, *extreme, *extreme,
+                      base, base, twins, twins_up]).astype(np.float32)
+    order = rng.permutation(len(rows))
+    ids = rng.permutation(5 * len(rows))[: len(rows)]
+    ds = Dataset(dim, ["a"], ids, np.zeros(len(rows), dtype=np.int64), rows[order])
+    return ds, q
+
+
+def near_tie_queries(ds, q, seed):
+    rng = np.random.default_rng(seed + 1)
+    return [q, np.nextafter(q, np.float32(np.inf)), 3 * q, ds.vectors[7],
+            rng.standard_normal(ds.dim).astype(np.float32), 1e30 * q.astype(np.float64)]
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+@pytest.mark.parametrize("dim", [1, 3, 128, 129])
+def test_prefiltered_scan_equals_unfiltered_on_near_ties(metric, dim):
+    ds, q = near_tie_dataset(dim, seed=dim)
+    n = len(ds)
+    assert n >= PREFILTER_MIN_ROWS
+    for query in near_tie_queries(ds, q, dim):
+        qv = np.asarray(query, dtype=np.float32)
+        for k in (1, 2, 3, 9, n // 2, n - 1, n, n + 5):
+            expected = unfiltered(ds.ids, ds.values64, qv, k, metric)
+            got, stats = knn_exact(ds, qv, k, metric)
+            assert got == expected, (k, query[:2])
+            assert stats == QueryStats(n, n)
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+@pytest.mark.parametrize("dim", [1, 3, 128, 129])
+def test_prefiltered_lsh_query_equals_unfiltered_on_near_ties(metric, dim):
+    ds, q = near_tie_dataset(dim, seed=dim)
+    # one-bit keys: each table's bucket holds about half the rows
+    index = BinaryLshIndex.build(ds, BinaryLshParams(L=2, K=1, seed=dim))
+    for query in near_tie_queries(ds, q, dim):
+        qv = np.asarray(query, dtype=np.float32)
+        unique, members = index.candidates(qv)
+        values = ds.values64[ds.rows_of(unique)]
+        for k in (1, 2, 3, 9, len(unique) // 2, len(unique) - 1, len(unique), len(unique) + 5):
+            got, stats = index.query(qv, k, metric)
+            assert got == unfiltered(unique, values, qv, k, metric), (k, query[:2])
+            assert stats == QueryStats(members, len(unique))
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_prefilter_drops_rows_and_keeps_every_tie(metric):
+    ds, q = near_tie_dataset(128, seed=5)
+    keep = prefilter(ds.values64, ds.norms, q, 1, metric)
+    assert 2 <= len(keep) < len(ds) // 4
+    # the query's duplicate ties it at the cut; zero rows always survive
+    assert set(np.flatnonzero((ds.vectors == q).all(axis=1))) <= set(keep)
+    assert set(np.flatnonzero(ds.norms == 0)) <= set(keep)
+    for k in (len(ds), len(ds) + 5):
+        assert prefilter(ds.values64, ds.norms, q, k, metric) == slice(None)
+    small = ds.values64[: PREFILTER_MIN_ROWS - 1]
+    assert prefilter(small, ds.norms[: len(small)], q, 1, metric) == slice(None)
+
+
+def near_tie_shell(metric, n=300, dim=64, seed=12):
+    """n distinct rows at one true distance from the query, which rounding
+    alone orders: for cosine, exact float32 multiples of one integer vector;
+    for euclidean, the query plus coordinate permutations of one small
+    offset, in float32 steps near 1000, where the score's cancellation error
+    dwarfs the distance gaps."""
+    rng = np.random.default_rng(seed)
+    if metric == "cosine":
+        v = rng.integers(-1000, 1000, dim)
+        rows = np.outer(rng.choice(np.arange(1, 1000), n, replace=False), v)
+        q = v + 1e-3 * rng.standard_normal(dim)
+    else:
+        step = 2.0**-14  # the float32 spacing in [512, 1024)
+        q = 1000 + step * rng.integers(0, 2**14 * 20, dim)
+        offset = step * rng.integers(-100, 100, dim)
+        rows = q + np.array([rng.permutation(offset) for _ in range(n)])
+    ds = Dataset(dim, ["a"], rng.permutation(n), np.zeros(n, dtype=np.int64), rows.astype(np.float32))
+    return ds, q.astype(np.float32)
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_near_tie_shell_needs_the_margin(metric, monkeypatch):
+    ds, q = near_tie_shell(metric)
+    results = [knn_exact(ds, q, k, metric)[0] for k in (1, 5)]
+    assert results == [unfiltered(ds.ids, ds.values64, q, k, metric) for k in (1, 5)]
+    # with no margin the BLAS scores alone pick the rows, and this shell's
+    # rounding puts some of the true top k outside them
+    monkeypatch.setattr(distances, "_cosine_margin", lambda d: 0.0)
+    monkeypatch.setattr(distances, "_euclidean_margin", lambda d: 0.0)
+    assert [knn_exact(ds, q, k, metric)[0] for k in (1, 5)] != results
