@@ -21,6 +21,7 @@ rows at or below it, which returns what a lexsort of all n rows would.
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -41,6 +42,18 @@ def check_metric(metric: str) -> str:
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
     return metric
+
+
+def check_k(k) -> int:
+    """k as an int: TypeError unless it is an integer, ValueError unless it
+    is positive."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise TypeError(f"k must be an integer, got {k!r}") from None
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    return k
 
 
 def as_query(q, dim: int) -> np.ndarray:
@@ -246,8 +259,7 @@ def prefilter(matrix: np.ndarray, norms: np.ndarray, q: np.ndarray, k: int, metr
 
 def rank_top_k(ids: np.ndarray, dists: np.ndarray, k: int) -> list[tuple[int, float]]:
     """Ascending by distance, ties by ascending id, truncated to k results."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    k = check_k(k)
     ids = np.asarray(ids)
     dists = np.asarray(dists)
     if k < len(dists):

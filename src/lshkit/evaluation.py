@@ -22,10 +22,10 @@ import numpy as np
 
 from .binary_lsh import BinaryLshIndex, BinaryLshParams
 from .dataset import Dataset
-from .distances import check_metric, distances_to, rank_top_k
+from .distances import check_k, check_metric, distances_to, rank_top_k
 from .exact import QueryStats, knn_exact
 from .real_lsh import DEFAULT_WIDTH, RealLshIndex, RealLshParams, child_rng
-from .tables import label_majorities
+from .tables import distinct, label_majorities
 
 STREAM_HOLDOUT = 2
 
@@ -210,11 +210,6 @@ def make_index(
     return _FAMILIES[kind].build(ds, params)
 
 
-def _check_k(k: int) -> None:
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-
-
 def _check_kind(index_kind: str) -> None:
     if index_kind not in INDEX_KINDS:
         raise ValueError(f"index_kind must be one of {INDEX_KINDS}, got {index_kind!r}")
@@ -319,7 +314,7 @@ def run_config(
     _check_kind(index_kind)
     if not held_out_queries:
         raise ValueError("held_out_queries must be non-empty")
-    _check_k(k)
+    check_k(k)
     if index_kind != "none":
         if L is None or K is None:
             raise ValueError(f"L and K are required for index kind {index_kind!r}")
@@ -360,7 +355,7 @@ def evaluate_grid(
     _check_kind(index_kind)
     if not query_ids:
         raise ValueError("held_out_queries must be non-empty")
-    _check_k(k)
+    check_k(k)
     check_metric(metric)
     if not L_values or not K_values:
         raise ValueError("L_values and K_values must be non-empty")
@@ -390,11 +385,11 @@ def evaluate_grid(
     n = len(ds)
     for i, (qid, row) in enumerate(zip(query_ids, rows)):
         parts = {K: [members[bounds[i] : bounds[i + 1]] for members, bounds in hits[K]] for K in Ks}
-        union = np.unique(np.concatenate([p for K in Ks for p in parts[K]]))
+        union = distinct(np.concatenate([p for K in Ks for p in parts[K]]))
         dists = distances_to(ds.values64[union], ds.vectors[row], metric)
         for L, K in cells:
             multiset = np.concatenate(parts[K][:L])
-            unique = np.unique(multiset)
+            unique = distinct(multiset)
             results = rank_top_k(ds.ids[unique], dists[np.searchsorted(union, unique)], k + 1)
             ranked = [rid for rid, _ in results if rid != qid][:k]
             stats = QueryStats(distance_computations=len(multiset), candidates_examined=len(unique))
@@ -512,7 +507,7 @@ def class_analysis(
     left with no query are skipped; KeyError names an id not in ds). Classes
     need at least 2 samples so the relevant set is never empty.
     """
-    _check_k(k)
+    check_k(k)
     if not isinstance(backend, str) and backend.dataset is not ds:
         raise ValueError("backend is an index over a different dataset")
     allowed = None if query_ids is None else set(ds.ids[ds.rows_of(query_ids)].tolist())
@@ -604,7 +599,7 @@ def distractor_contamination(
     dataset must carry the source flags attached by merge_datasets. Queries
     default to every source-a vector. Self-matches count like any result.
     """
-    _check_k(k)
+    check_k(k)
     ds = backend if isinstance(backend, Dataset) else backend.dataset
     if ds.sources is None:
         raise ValueError("dataset carries no source flags; build it with merge_datasets")

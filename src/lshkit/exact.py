@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dataset import Dataset
-from .distances import as_query, distances_to, prefilter, rank_top_k
+from .distances import as_query, check_k, distances_to, prefilter, rank_top_k
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,7 @@ def knn_exact(
     Always charges exactly n distance computations, although the kernel
     scores only the rows ``prefilter`` keeps.
     """
+    k = check_k(k)
     qv = as_query(q, ds.dim)
     keep = prefilter(ds.values64, ds.norms, qv, k, metric)
     dists = distances_to(ds.values64[keep], qv, metric)

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .distances import as_query, check_metric, distances_to, prefilter, rank_top_k
+from .distances import as_query, check_k, check_metric, distances_to, prefilter, rank_top_k
 from .exact import QueryStats
-from .tables import BucketTable, as_dicts, gather, prefix_tables
+from .tables import BucketTable, as_dicts, distinct, gather, prefix_tables
 
 _MASK64 = (1 << 64) - 1
 
@@ -139,12 +139,18 @@ class LshIndex:
         qv = as_query(vector, self.dim).astype(np.float64)
         return self._key_of(self._table_keys(qv.reshape(1, -1))[0, table_index].tolist())
 
+    def _candidate_rows(self, qv: np.ndarray) -> tuple[np.ndarray, int]:
+        """The distinct rows, ascending, in the L buckets of an ``as_query``
+        vector, plus the multiset count of bucket members across tables."""
+        gathered = gather(self.bucket_tables, self._table_keys(qv.astype(np.float64).reshape(1, -1))[0])
+        return distinct(gathered), len(gathered)
+
     def candidates(self, q) -> tuple[np.ndarray, int]:
-        """Deduplicated candidate ids for a query, plus the multiset count
-        of bucket members across all L tables (the charged query cost)."""
-        qv = as_query(q, self.dim).astype(np.float64)
-        rows = gather(self.bucket_tables, self._table_keys(qv.reshape(1, -1))[0])
-        return np.unique(self.dataset.ids[rows]), len(rows)
+        """Deduplicated candidate ids for a query, ascending, plus the
+        multiset count of bucket members across all L tables (the charged
+        query cost)."""
+        rows, multiset = self._candidate_rows(as_query(q, self.dim))
+        return np.sort(self.dataset.ids[rows]), multiset
 
     def query(
         self, q, k: int = 10, metric: str = "cosine"
@@ -152,19 +158,19 @@ class LshIndex:
         """Rank the union of the query's L buckets; at most k results.
 
         Ties on distance break by ascending id. distance_computations counts
-        bucket members with multiplicity across tables; the returned list is
-        deduplicated before ranking.
+        bucket members with multiplicity across tables. The candidates are
+        deduplicated and ranked as storage rows; ids are attached only to
+        the rows that reach rank_top_k.
         """
+        k = check_k(k)
         check_metric(metric)
-        unique, multiset = self.candidates(q)
-        stats = QueryStats(distance_computations=multiset, candidates_examined=len(unique))
-        if len(unique) == 0:
-            return [], stats
-        rows = self.dataset.rows_of(unique)
-        values, qv = self.dataset.values64[rows], as_query(q, self.dim)
+        qv = as_query(q, self.dim)
+        rows, multiset = self._candidate_rows(qv)
+        stats = QueryStats(distance_computations=multiset, candidates_examined=len(rows))
+        values = self.dataset.values64[rows]
         keep = prefilter(values, self.dataset.norms[rows], qv, k, metric)
         dists = distances_to(values[keep], qv, metric)
-        return rank_top_k(unique[keep], dists, k), stats
+        return rank_top_k(self.dataset.ids[rows[keep]], dists, k), stats
 
 
 class RealLshIndex(LshIndex):

@@ -7,6 +7,7 @@ from lshkit import BinaryLshIndex, BinaryLshParams, Dataset, QueryStats, distanc
 from lshkit.distances import (
     CHUNK_ROWS,
     PREFILTER_MIN_ROWS,
+    check_k,
     cosine_distances,
     distances_to,
     euclidean_distances,
@@ -217,6 +218,33 @@ def test_rank_top_k_empty_and_invalid_k():
     for k in (0, -2):
         with pytest.raises(ValueError, match=f"k must be positive, got {k}"):
             rank_top_k(np.arange(3), np.zeros(3), k)
+
+
+def test_check_k():
+    assert check_k(3) == 3 and check_k(np.int64(2)) == 2
+    for k in (0, -2):
+        with pytest.raises(ValueError, match=f"k must be positive, got {k}$"):
+            check_k(k)
+    for k in (3.5, 2.0, "3", None):
+        with pytest.raises(TypeError, match="k must be an integer"):
+            check_k(k)
+
+
+def test_k_is_checked_at_entry_whatever_the_candidates():
+    ds = make_dataset(100, 8, seed=3)
+    index = BinaryLshIndex.build(ds, BinaryLshParams(L=2, K=64, seed=3))
+    missing, member = np.full(8, -1000, dtype=np.float32), ds.vectors[5]
+    assert len(index.candidates(missing)[0]) == 0 and len(index.candidates(member)[0]) > 0
+    for q in (missing, member):
+        for k in (0, -1):
+            with pytest.raises(ValueError, match=f"k must be positive, got {k}$"):
+                index.query(q, k)
+            with pytest.raises(ValueError, match=f"k must be positive, got {k}$"):
+                knn_exact(ds, q, k)
+        with pytest.raises(TypeError, match="k must be an integer, got 3.5"):
+            index.query(q, 3.5)
+        with pytest.raises(TypeError, match="k must be an integer, got 3.5"):
+            knn_exact(ds, q, 3.5)
 
 
 @pytest.mark.parametrize("metric", ["cosine", "euclidean"])

@@ -2,14 +2,19 @@ import numpy as np
 import pytest
 
 from lshkit import (
+    BinaryLshIndex,
+    BinaryLshParams,
     Dataset,
     ProjectionFunction,
+    QueryStats,
     RealLshIndex,
     RealLshParams,
     build_real_index,
     generate_synthetic,
     projection_hash,
 )
+from lshkit.distances import PREFILTER_MIN_ROWS, as_query, distances_to, rank_top_k
+from lshkit.tables import gather
 
 from helpers import oracle_distance
 
@@ -267,3 +272,46 @@ def test_slot_functions_shared_across_k():
     assert np.array_equal(wide.axes[:, :2, :], narrow.axes)
     q = ds.get(4).values
     assert wide.bucket_key(0, q)[:2] == narrow.bucket_key(0, q)
+
+
+# ---------------------------------------------------------------------------
+# the row-keyed query path over ids that are not rows
+# ---------------------------------------------------------------------------
+
+def id_keyed_query(index, q, k, metric):
+    """A query that dedupes by id: gather the bucket rows, np.unique their
+    ids, map the ids back to rows, score every candidate with no prefilter.
+    Returns the sorted candidate ids, the ranking and the QueryStats."""
+    ds = index.dataset
+    qv = as_query(q, ds.dim)
+    rows = gather(index.bucket_tables, index._table_keys(qv.astype(np.float64).reshape(1, -1))[0])
+    unique = np.unique(ds.ids[rows])
+    stats = QueryStats(distance_computations=len(rows), candidates_examined=len(unique))
+    if not len(unique):
+        return unique, [], stats
+    dists = distances_to(ds.values64[ds.rows_of(unique)], qv, metric)
+    return unique, rank_top_k(unique, dists, k), stats
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+@pytest.mark.parametrize(
+    "family, params",
+    [(RealLshIndex, RealLshParams(L=6, K=1, seed=8)), (BinaryLshIndex, BinaryLshParams(L=3, K=2, seed=8))],
+)
+def test_query_over_shuffled_gapped_ids_equals_id_keyed_query(family, params, metric):
+    n, dim = 400, 16
+    rng = np.random.default_rng(41)
+    ids = 7 * rng.permutation(n) + 3
+    ds = Dataset(dim, ["a", "b"], ids, rng.integers(0, 2, n), rng.standard_normal((n, dim)).astype(np.float32))
+    index = family.build(ds, params)
+    queries = [ds.vectors[r] for r in range(0, n, 20)] + list(rng.standard_normal((20, dim)).astype(np.float32))
+    filtered = 0
+    for q in queries:
+        unique, _, stats = id_keyed_query(index, q, 1, metric)
+        filtered += stats.candidates_examined >= PREFILTER_MIN_ROWS
+        assert np.array_equal(index.candidates(q)[0], unique)
+        assert index.candidates(q)[1] == stats.distance_computations
+        for k in (1, 5, 11, len(unique) + 3):
+            assert index.query(q, k, metric) == id_keyed_query(index, q, k, metric)[1:]
+    # most candidate sets are large enough for the prefilter to engage
+    assert filtered > len(queries) // 2
