@@ -16,7 +16,7 @@ from .dataset import Dataset
 # the query path lives in real_lsh.LshIndex; the kernels stay importable
 # here for code that wraps this module's names
 from .distances import as_query, distances_to, rank_top_k  # noqa: F401
-from .real_lsh import STREAM_BINARY, LshIndex
+from .real_lsh import STREAM_BINARY, LshIndex, RealLshIndex, check_params
 from .tables import BucketTable
 
 MAX_SIGNATURE_BITS = 64
@@ -31,8 +31,7 @@ class BinaryLshParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.L < 1:
-            raise ValueError(f"L must be >= 1, got {self.L}")
+        check_params(self)
         if not 1 <= self.K <= MAX_SIGNATURE_BITS:
             raise ValueError(f"K must be in 1..{MAX_SIGNATURE_BITS}, got {self.K}")
 
@@ -50,6 +49,7 @@ class BinaryLshIndex(LshIndex):
 
     kind = "binary"
     stream = STREAM_BINARY
+    make_params = staticmethod(lambda L, K, w, seed: BinaryLshParams(L, K, seed))  # no width: w is ignored
     _key_of = staticmethod(lambda words: words[0])
     # own attributes, as in RealLshIndex
     build = LshIndex.__dict__["build"]
@@ -100,3 +100,7 @@ class BinaryLshIndex(LshIndex):
 
 def build_binary_index(ds: Dataset, params: BinaryLshParams) -> BinaryLshIndex:
     return BinaryLshIndex.build(ds, params)
+
+
+# every index kind -> its family, in snapshot kind-code order
+FAMILIES = {family.kind: family for family in (RealLshIndex, BinaryLshIndex)}

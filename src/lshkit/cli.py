@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 
+from .binary_lsh import FAMILIES
 from .dataset import generate_synthetic, load_dataset, merge_datasets, save_dataset
 from .evaluation import (
     best_tradeoff,
@@ -57,6 +58,11 @@ def _index_from_args(args, kind: str, ds):
     if missing:
         raise ValueError(f"--{', --'.join(missing)} required for index kind {kind!r}")
     return make_index(kind, ds, args.L, args.K, args.w, args.seed)
+
+
+def _backend_from_args(args, ds, exact):
+    """``exact`` when --backend is "exact", else the index it names, built over ds."""
+    return exact if args.backend == "exact" else _index_from_args(args, args.backend, ds)
 
 
 def _query_json(query_id: int, k: int, metric: str, results, stats) -> str:
@@ -151,11 +157,7 @@ def cmd_stats(args) -> int:
 
 def cmd_class_analysis(args) -> int:
     ds = load_dataset(args.input)
-    if args.backend == "exact":
-        backend = "exact"
-    else:
-        backend = _index_from_args(args, args.backend, ds)
-    reports = class_analysis(ds, backend, k=args.k, metric=args.metric)
+    reports = class_analysis(ds, _backend_from_args(args, ds, "exact"), k=args.k, metric=args.metric)
     text = class_reports_json_lines(reports)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -179,11 +181,7 @@ def cmd_contamination(args) -> int:
     a = load_dataset(args.input)
     b = load_dataset(args.distractor)
     merged = merge_datasets(a, b, label_namespace="distractor/")
-    if args.backend == "exact":
-        backend = merged
-    else:
-        backend = _index_from_args(args, args.backend, merged)
-    print(distractor_contamination(backend, k=args.k, metric=args.metric))
+    print(distractor_contamination(_backend_from_args(args, merged, merged), k=args.k, metric=args.metric))
     return 0
 
 
@@ -206,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="build an index and save a snapshot")
     p.add_argument("--input", required=True)
-    p.add_argument("--index", choices=("real", "binary"), required=True)
+    p.add_argument("--index", choices=tuple(FAMILIES), required=True)
     _add_index_args(p, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build)
@@ -226,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="evaluate an (L, K) parameter grid")
     p.add_argument("--input", required=True)
-    p.add_argument("--index", choices=("real", "binary"), required=True)
+    p.add_argument("--index", choices=tuple(FAMILIES), required=True)
     p.add_argument("--L", type=_int_list, required=True, help="comma-separated L values")
     p.add_argument("--K", type=_int_list, required=True, help="comma-separated K values")
     p.add_argument("--w", type=float, default=DEFAULT_WIDTH)
@@ -244,13 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="bucket statistics of an index")
     p.add_argument("--input", required=True)
     p.add_argument("--snapshot", default=None, help="load this snapshot instead of building")
-    p.add_argument("--index", choices=("real", "binary"), default=None)
+    p.add_argument("--index", choices=tuple(FAMILIES), default=None)
     _add_index_args(p)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("class-analysis", help="per-class AP analysis")
     p.add_argument("--input", required=True)
-    p.add_argument("--backend", choices=("exact", "real", "binary"), default="exact")
+    p.add_argument("--backend", choices=("exact", *FAMILIES), default="exact")
     _add_index_args(p)
     p.add_argument("--out", default=None, help="write JSON lines here instead of stdout")
     _add_metric_k(p)
@@ -264,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("contamination", help="distractor fraction among top-k results")
     p.add_argument("--input", required=True, help="the queried source (a)")
     p.add_argument("--distractor", required=True, help="the distractor source (b)")
-    p.add_argument("--backend", choices=("exact", "real", "binary"), default="exact")
+    p.add_argument("--backend", choices=("exact", *FAMILIES), default="exact")
     _add_index_args(p)
     _add_metric_k(p)
     p.set_defaults(func=cmd_contamination)

@@ -57,10 +57,10 @@ def check_k(k) -> int:
 
 
 def as_query(q, dim: int) -> np.ndarray:
-    """Validate a query vector and quantize it to the stored float32 precision."""
-    arr = np.asarray(q, dtype=np.float32).reshape(-1)
+    """Validate one query vector, shape (dim,), and quantize it to float32."""
+    arr = np.asarray(q, dtype=np.float32)
     if arr.shape != (dim,):
-        raise ValueError(f"query has length {arr.shape[0]}, index dimensionality is {dim}")
+        raise ValueError(f"query has shape {arr.shape}, expected one vector of length {dim}")
     if not np.isfinite(arr).all():
         raise ValueError("query contains non-finite values")
     return arr

@@ -16,20 +16,18 @@ import os
 import warnings
 from collections import Counter
 from dataclasses import astuple, dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .binary_lsh import BinaryLshIndex, BinaryLshParams
+from .binary_lsh import FAMILIES
 from .dataset import Dataset
 from .distances import check_k, check_metric, distances_to, rank_top_k
 from .exact import QueryStats, knn_exact
-from .real_lsh import DEFAULT_WIDTH, RealLshIndex, RealLshParams, child_rng
+from .real_lsh import DEFAULT_WIDTH, LshIndex, RealLshIndex, child_rng
 from .tables import distinct, label_majorities
 
 STREAM_HOLDOUT = 2
-
-INDEX_KINDS = ("real", "binary", "none")
 
 SWEEP_CSV_HEADER = (
     "L,K,mAP,IE,avg_purity,std_purity,num_buckets,num_items,avg_per_bucket,std_per_bucket"
@@ -148,7 +146,7 @@ def _bucket_stats(majorities: np.ndarray, sizes: np.ndarray) -> BucketStats:
     )
 
 
-def bucket_statistics(index: RealLshIndex | BinaryLshIndex) -> BucketStats:
+def bucket_statistics(index: LshIndex) -> BucketStats:
     """The six bucket statistics of a built index, pooled over all L tables.
 
     num_items comes out as n*L because every table holds every vector once.
@@ -191,44 +189,38 @@ def select_queries(
     return queries
 
 
-def _params(kind: str, L: int, K: int, w: float, seed: int) -> RealLshParams | BinaryLshParams:
-    if kind == "real":
-        return RealLshParams(L=L, K=K, w=w, seed=seed)
-    if kind == "binary":
-        return BinaryLshParams(L=L, K=K, seed=seed)
-    raise ValueError(f"unknown index kind {kind!r}")
-
-
-_FAMILIES = {"real": RealLshIndex, "binary": BinaryLshIndex}
+def _family(kind: str) -> type[LshIndex]:
+    if kind not in FAMILIES:
+        raise ValueError(f"unknown index kind {kind!r}: index_kind must be one of {tuple(FAMILIES)}")
+    return FAMILIES[kind]
 
 
 def make_index(
     kind: str, ds: Dataset, L: int, K: int, w: float = DEFAULT_WIDTH, seed: int = 0
-) -> RealLshIndex | BinaryLshIndex:
-    """Build the ``kind`` ("real" or "binary") index; w is unused by "binary"."""
-    params = _params(kind, L, K, w, seed)
-    return _FAMILIES[kind].build(ds, params)
+) -> LshIndex:
+    """Build the index of ``kind``, a key of FAMILIES; w is unused by "binary"."""
+    family = _family(kind)
+    return family.build(ds, family.make_params(L, K, w, seed))
 
 
-def _check_kind(index_kind: str) -> None:
-    if index_kind not in INDEX_KINDS:
-        raise ValueError(f"index_kind must be one of {INDEX_KINDS}, got {index_kind!r}")
+def _resolve(backend, ds: Dataset | None) -> Callable:
+    """The (q, k, metric) -> (results, stats) search of a backend: "exact"
+    scans ``ds``; an LshIndex queries itself and must be built over ``ds``
+    unless ``ds`` is None. ValueError for anything else."""
+    if isinstance(backend, LshIndex):
+        if ds is not None and backend.dataset is not ds:
+            raise ValueError("backend is an index over a different dataset")
+        return backend.query
+    if isinstance(backend, str) and backend == "exact" and ds is not None:
+        return lambda q, k, metric: knn_exact(ds, q, k, metric)
+    accepted = "a Dataset to scan or an index over one" if ds is None else "'exact' or an index over the dataset"
+    raise ValueError(f"unknown backend {backend!r}: expected {accepted}")
 
 
-def _backend_query(backend, ds: Dataset, q, k: int, metric: str):
-    if isinstance(backend, str):
-        if backend != "exact":
-            raise ValueError(f"unknown backend {backend!r}")
-        return knn_exact(ds, q, k, metric)
-    return backend.query(q, k, metric)
-
-
-def _ranked_excluding(backend, ds: Dataset, query_id: int, k: int, metric: str):
+def _ranked_excluding(search: Callable, ds: Dataset, query_id: int, k: int, metric: str):
     """Top-k ids for a dataset member, with the member itself removed."""
-    qv = ds.get(query_id).values
-    results, stats = _backend_query(backend, ds, qv, k + 1, metric)
-    ranked = [rid for rid, _ in results if rid != query_id][:k]
-    return ranked, stats
+    results, stats = search(ds.get(query_id).values, k + 1, metric)
+    return [rid for rid, _ in results if rid != query_id][:k], stats
 
 
 # ---------------------------------------------------------------------------
@@ -308,22 +300,23 @@ def run_config(
     The full dataset is indexed; each held-out query is excluded from its
     own relevant set and result list. An empty candidate set is charged cost
     1 (and flagged with a warning) to keep the efficiency ratio defined. An
-    index kind is the one-cell case of :func:`evaluate_grid`; "none" ranks
-    each query by exact scan.
+    index kind (a key of FAMILIES) is the one-cell case of
+    :func:`evaluate_grid`; "none" ranks each query by exact scan.
     """
-    _check_kind(index_kind)
+    family = None if index_kind == "none" else _family(index_kind)
     if not held_out_queries:
         raise ValueError("held_out_queries must be non-empty")
     check_k(k)
-    if index_kind != "none":
+    if family is not None:
         if L is None or K is None:
             raise ValueError(f"L and K are required for index kind {index_kind!r}")
         return evaluate_grid(ds, held_out_queries, index_kind, [L], [K], w, seed, k, metric)[0]
 
+    search = _resolve("exact", ds)
     outcomes = []
     for qid in held_out_queries:
         relevant = _relevant(ds, qid)
-        ranked, stats = _ranked_excluding("exact", ds, qid, k, metric)
+        ranked, stats = _ranked_excluding(search, ds, qid, k, metric)
         outcomes.append(_outcome(qid, ranked, relevant, len(ds), stats))
     mean_ap = float(np.mean([o.ap for o in outcomes]))
     return EvalReport(0, 0, mean_ap, 1.0, 0.0, 0.0, 0, 0, 0.0, 0.0), outcomes
@@ -352,7 +345,7 @@ def evaluate_grid(
     over every row a cell gives it, and each cell ranks its own candidates;
     the results are those of building and querying every cell's own index.
     """
-    _check_kind(index_kind)
+    family = _family(index_kind)
     if not query_ids:
         raise ValueError("held_out_queries must be non-empty")
     check_k(k)
@@ -361,10 +354,8 @@ def evaluate_grid(
         raise ValueError("L_values and K_values must be non-empty")
     grid = [(L, K) for L in L_values for K in K_values]
     for L, K in grid:
-        _params(index_kind, L, K, w, seed)
-    top = _FAMILIES[index_kind].with_coefficients(
-        ds, _params(index_kind, max(L_values), max(K_values), w, seed)
-    )
+        family.make_params(L, K, w, seed)
+    top = family.with_coefficients(ds, family.make_params(max(L_values), max(K_values), w, seed))
     relevant = [_relevant(ds, qid) for qid in query_ids]
     rows = ds.rows_of(query_ids)
     Ks = sorted(set(K_values))
@@ -422,7 +413,7 @@ def parameter_sweep(
     ds: Dataset,
     L_values: Sequence[int],
     K_values: Sequence[int],
-    index_kind: str = "real",
+    index_kind: str = RealLshIndex.kind,
     query_ids: Sequence[int] | None = None,
     w: float = DEFAULT_WIDTH,
     seed: int = 0,
@@ -501,32 +492,26 @@ def class_analysis(
 ) -> list[ClassReport]:
     """Query every class with its own samples and aggregate per-class AP.
 
-    backend is the string "exact" or a built index over ds (ValueError for an
-    index over another dataset). By default every sample of every class is
-    used as a query in turn; pass query_ids to restrict the protocol (classes
-    left with no query are skipped; KeyError names an id not in ds). Classes
-    need at least 2 samples so the relevant set is never empty.
+    backend is "exact" or an index built over ds (ValueError otherwise). By
+    default every sample of every class is used as a query in turn; pass
+    query_ids to restrict the protocol (classes left with no query are
+    skipped; KeyError names an id not in ds). Classes need at least 2 samples
+    so the relevant set is never empty.
     """
     check_k(k)
-    if not isinstance(backend, str) and backend.dataset is not ds:
-        raise ValueError("backend is an index over a different dataset")
-    allowed = None if query_ids is None else set(ds.ids[ds.rows_of(query_ids)].tolist())
+    search = _resolve(backend, ds)
+    rows = np.arange(len(ds)) if query_ids is None else np.unique(ds.rows_of(query_ids))
+    sizes = np.bincount(ds.label_ids, minlength=len(ds.labels))
+    if (sizes == 1).any():
+        raise ValueError(f"class {ds.labels[int(np.argmax(sizes == 1))]!r} has fewer than 2 samples")
+    ids, labels = ds.ids[rows], ds.label_ids[rows]
+    aps = np.array([
+        average_precision(_ranked_excluding(search, ds, qid, k, metric)[0], _relevant(ds, qid))
+        for qid in ids.tolist()
+    ])
     reports: list[ClassReport] = []
-    for label_id in range(len(ds.labels)):
-        members = [int(i) for i in ds.class_ids(label_id)]
-        if not members:
-            continue
-        if len(members) < 2:
-            raise ValueError(f"class {ds.labels[label_id]!r} has fewer than 2 samples")
-        queries = members if allowed is None else [i for i in members if i in allowed]
-        if not queries:
-            continue
-        aps: dict[int, float] = {}
-        for qid in queries:
-            relevant = set(members) - {qid}
-            ranked, _ = _ranked_excluding(backend, ds, qid, k, metric)
-            aps[qid] = average_precision(ranked, relevant)
-        values = np.array([aps[q] for q in queries])
+    for label_id in np.unique(labels):
+        values, queries = aps[labels == label_id], ids[labels == label_id]
         max_ap = float(values.max())
         min_ap = float(values.min())
         reports.append(
@@ -537,8 +522,8 @@ def class_analysis(
                 max_ap=max_ap,
                 range_ap=max_ap - min_ap,
                 std_ap=float(values.std()),
-                best_id=min(q for q in queries if aps[q] == max_ap),
-                worst_id=min(q for q in queries if aps[q] == min_ap),
+                best_id=int(queries[values == max_ap].min()),
+                worst_id=int(queries[values == min_ap].min()),
             )
         )
     return reports
@@ -600,18 +585,19 @@ def distractor_contamination(
     default to every source-a vector. Self-matches count like any result.
     """
     check_k(k)
-    ds = backend if isinstance(backend, Dataset) else backend.dataset
+    scan = isinstance(backend, Dataset)
+    search = _resolve("exact" if scan else backend, backend if scan else None)
+    ds = backend if scan else backend.dataset
     if ds.sources is None:
         raise ValueError("dataset carries no source flags; build it with merge_datasets")
     if query_ids is None:
         query_ids = [int(i) for i in ds.ids[ds.sources == 0]]
     if not query_ids:
         raise ValueError("no queries: the merged dataset has no source-a vectors")
-    search = "exact" if isinstance(backend, Dataset) else backend
     total = 0
     from_distractor = 0
     for qid in query_ids:
-        results, _ = _backend_query(search, ds, ds.get(qid).values, k, metric)
+        results, _ = search(ds.get(qid).values, k, metric)
         total += len(results)
         from_distractor += int(ds.sources[ds.rows_of([rid for rid, _ in results])].sum())
     return from_distractor / total if total else 0.0

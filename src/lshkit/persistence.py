@@ -2,7 +2,7 @@
 
 Layout, version 2 (little-endian): magic ``LSHIDX``, u16 version, u8 kind
 (0 = real, 1 = binary), u32 L, u32 K, f64 w (0 for the binary kind),
-u64 seed, u32 dim, the u64 dataset fingerprint, the hash coefficients as
+i64 seed, u32 dim, the u64 dataset fingerprint, the hash coefficients as
 f32 (real: the L*K*dim axes, then the L*K offsets; binary: the L*K*dim
 hyperplanes), then the bucket tables as written by :mod:`lshkit.tables`:
 their key width and row count, then per table its sorted keys, CSR offsets
@@ -26,18 +26,16 @@ import tempfile
 
 import numpy as np
 
-from .binary_lsh import BinaryLshIndex, BinaryLshParams
+from .binary_lsh import FAMILIES
 from .dataset import Dataset, fvec_chunks
-from .real_lsh import RealLshIndex, RealLshParams
+from .real_lsh import LshIndex, RealLshIndex
 from .tables import TableFormatError, decode, encode
 
 SNAPSHOT_MAGIC = b"LSHIDX"
 SNAPSHOT_VERSION = 2
 
-_FAMILIES = (RealLshIndex, BinaryLshIndex)  # a family's position is its kind code
 _PREFIX = struct.Struct("<6sHB")  # magic, version, kind
-_PARAMS = struct.Struct("<IIdQIQ")  # L, K, w, seed, dim, fingerprint
-_MASK64 = (1 << 64) - 1
+_PARAMS = struct.Struct("<IIdqIQ")  # L, K, w, seed, dim, fingerprint
 
 
 class SnapshotError(ValueError):
@@ -53,7 +51,7 @@ def dataset_fingerprint(ds: Dataset) -> int:
     return int.from_bytes(digest.digest(), "little")
 
 
-def save_index(index: RealLshIndex | BinaryLshIndex, path: str | os.PathLike) -> None:
+def save_index(index: LshIndex, path: str | os.PathLike) -> None:
     """Write a snapshot atomically (temp file + rename)."""
     payload = _serialize(index)
     path = os.fspath(path)
@@ -72,8 +70,8 @@ def save_index(index: RealLshIndex | BinaryLshIndex, path: str | os.PathLike) ->
 def _serialize(index) -> bytes:
     p = index.params
     chunks = [
-        _PREFIX.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, _FAMILIES.index(type(index))),
-        _PARAMS.pack(p.L, p.K, getattr(p, "w", 0.0), p.seed & _MASK64, index.dim,
+        _PREFIX.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, list(FAMILIES).index(index.kind)),
+        _PARAMS.pack(p.L, p.K, getattr(p, "w", 0.0), p.seed, index.dim,
                      dataset_fingerprint(index.dataset)),
     ]
     chunks += [values.astype("<f4").tobytes() for values in index.coefficients]
@@ -110,7 +108,7 @@ def _coefficients(reader: _Reader, count: int) -> np.ndarray:
     return values
 
 
-def load_index(path: str | os.PathLike, ds: Dataset) -> RealLshIndex | BinaryLshIndex:
+def load_index(path: str | os.PathLike, ds: Dataset) -> LshIndex:
     """Load a snapshot and bind it to its dataset.
 
     Raises SnapshotError on a bad magic, an unsupported version, truncation,
@@ -124,13 +122,13 @@ def load_index(path: str | os.PathLike, ds: Dataset) -> RealLshIndex | BinaryLsh
     _, version, kind_code = reader.take(_PREFIX)
     if version != SNAPSHOT_VERSION:
         raise SnapshotError(f"unsupported snapshot version {version}")
-    if kind_code >= len(_FAMILIES):
+    if kind_code >= len(FAMILIES):
         raise SnapshotError(f"unknown index kind code {kind_code}")
-    family = _FAMILIES[kind_code]
+    family = list(FAMILIES.values())[kind_code]
     real = family is RealLshIndex
     L, K, w, seed, dim, fingerprint = reader.take(_PARAMS)
     try:
-        params = RealLshParams(L=L, K=K, w=w, seed=seed) if real else BinaryLshParams(L=L, K=K, seed=seed)
+        params = family.make_params(L, K, w, seed)
     except ValueError as exc:
         raise SnapshotError(f"invalid index parameters: {exc}") from None
     if dim != ds.dim:

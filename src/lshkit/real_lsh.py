@@ -9,6 +9,7 @@ buckets the query hashes to.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,21 @@ def child_rng(seed: int, *key: int) -> np.random.Generator:
     )
 
 
+def check_params(params) -> None:
+    """Store a frozen params' L, K and seed as ints (TypeError if one is not an
+    integer) and check L >= 1 and that the seed fits a snapshot's int64."""
+    for name in ("L", "K", "seed"):
+        value = getattr(params, name)
+        try:
+            object.__setattr__(params, name, operator.index(value))
+        except TypeError:
+            raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if params.L < 1:
+        raise ValueError(f"L must be >= 1, got {params.L}")
+    if not -(2**63) <= params.seed < 2**63:
+        raise ValueError(f"seed must be in [-2**63, 2**63), got {params.seed}")
+
+
 @dataclass(frozen=True)
 class RealLshParams:
     """L tables, K integer hashes per key, segment width w (default 4)."""
@@ -50,8 +66,7 @@ class RealLshParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.L < 1:
-            raise ValueError(f"L must be >= 1, got {self.L}")
+        check_params(self)
         if self.K < 1:
             raise ValueError(f"K must be >= 1, got {self.K}")
         if not 0 < self.w < np.inf:
@@ -88,12 +103,13 @@ def projection_hash(vector, fn: ProjectionFunction, width: float) -> int:
 class LshIndex:
     """An index of one hash family over a dataset: the family's coefficients
     plus L flat bucket tables. Frozen after build: concurrent readers, no
-    mutation. A family supplies ``stream`` (its ``child_rng`` spawn-key tag),
-    ``_draw(rng, dim, params)`` (one (table, slot)'s float32 coefficients, in
-    snapshot order), ``coefficients`` (its coefficient arrays, in the order
-    ``_draw`` and its constructor use), ``_table_keys`` (the (n, L, W) key
-    words of a float64 batch), ``_key_prefix`` (the key words of a shorter
-    key) and ``_key_of`` (key words -> the key's Python form)."""
+    mutation. A family supplies ``kind``, ``stream`` (its ``child_rng``
+    spawn-key tag), ``make_params(L, K, w, seed)`` (its params),
+    ``_draw(rng, dim, params)`` (one (table, slot)'s float32 coefficients,
+    in snapshot order), ``coefficients`` (its coefficient arrays, in the
+    order ``_draw`` and its constructor use), ``_table_keys`` (the (n, L, W)
+    key words of a float64 batch), ``_key_prefix`` (the key words of a
+    shorter key) and ``_key_of`` (key words -> the key's Python form)."""
 
     kind: str
 
@@ -178,6 +194,7 @@ class RealLshIndex(LshIndex):
 
     kind = "real"
     stream = STREAM_REAL
+    make_params = staticmethod(RealLshParams)  # (L, K, w, seed)
     _key_of = tuple
     # each family holds build, candidates and query as its own attributes,
     # so per-class instrumentation can wrap them

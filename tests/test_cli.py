@@ -247,3 +247,26 @@ def test_sweep_with_non_positive_k_exits_1(dataset_file, tmp_path, capsys):
     assert rc == 1
     assert "k must be positive, got 0" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_cli_accepts_exactly_the_family_kinds(dataset_file, tmp_path, capsys):
+    from lshkit.binary_lsh import FAMILIES
+
+    data, params = ["--input", str(dataset_file)], ["--L", "2", "--K", "3", "--seed", "1"]
+    commands = {
+        "build": lambda kind: ["build", *data, "--index", kind, *params, "--out", str(tmp_path / "i.idx")],
+        "sweep": lambda kind: ["sweep", *data, "--index", kind, *params, "--out", str(tmp_path / "s.csv")],
+        "stats": lambda kind: ["stats", *data, "--index", kind, *params],
+        "class-analysis": lambda kind: ["class-analysis", *data, "--backend", kind, *params, "--k", "3"],
+        "contamination": lambda kind: ["contamination", *data, "--distractor", str(dataset_file),
+                                       "--backend", kind, *params, "--k", "3"],
+    }
+    for name, argv in commands.items():
+        backends = ("exact",) if name in ("class-analysis", "contamination") else ()
+        for kind in (*FAMILIES, *backends):
+            assert main(argv(kind)) == 0, (name, kind)
+        for kind in ("none", "REAL", *(() if backends else ("exact",))):
+            with pytest.raises(SystemExit) as exc:
+                main(argv(kind))
+            assert exc.value.code == 2, (name, kind)
+    capsys.readouterr()

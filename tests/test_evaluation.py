@@ -585,3 +585,13 @@ def test_non_positive_k_raises_naming_it(k):
     for call in calls:
         with pytest.raises(ValueError, match=message):
             call()
+
+
+def test_backend_spelled_for_another_function_raises_value_error():
+    ds = generate_synthetic(3, 6, 8, 0.3, seed=24)
+    for backend in (ds, "none", "real", None):
+        with pytest.raises(ValueError, match="unknown backend"):
+            class_analysis(ds, backend, k=3)
+    for backend in ("exact", "none", None):
+        with pytest.raises(ValueError, match="unknown backend"):
+            distractor_contamination(backend, k=3)

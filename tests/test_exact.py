@@ -375,3 +375,14 @@ def test_near_tie_shell_needs_the_margin(metric, monkeypatch):
     monkeypatch.setattr(distances, "_cosine_margin", lambda d: 0.0)
     monkeypatch.setattr(distances, "_euclidean_margin", lambda d: 0.0)
     assert [knn_exact(ds, q, k, metric)[0] for k in (1, 5)] != results
+
+
+@pytest.mark.parametrize("shape", [(3, 11), (1, 33), (33, 1), ()])
+def test_rejects_query_that_is_not_one_vector(shape):
+    ds = make_dataset(40, 33, seed=7)
+    index = BinaryLshIndex.build(ds, BinaryLshParams(L=2, K=3, seed=1))
+    q = np.ones(shape, dtype=np.float32)
+    with pytest.raises(ValueError, match="length 33"):
+        knn_exact(ds, q, k=1)
+    with pytest.raises(ValueError, match="length 33"):
+        index.query(q, k=1)

@@ -324,3 +324,40 @@ def test_coefficients_that_overflow_dataset_keys_rejected(tmp_path):
 def test_fingerprint_hashes_the_fvec_bytes(ds):
     expected = hashlib.blake2b(to_fvec_bytes(ds), digest_size=8).digest()
     assert dataset_fingerprint(ds) == int.from_bytes(expected, "little")
+
+
+@pytest.mark.parametrize("seed", [-7, 0, 2**63 - 1])
+def test_round_trip_keeps_params_for_int64_seeds(tmp_path, seed):
+    ds = generate_synthetic(4, 8, 12, 0.3, seed=5)
+    for index in (build_real_index(ds, RealLshParams(L=2, K=3, seed=seed)),
+                  build_binary_index(ds, BinaryLshParams(L=4, K=64, seed=seed))):
+        path = tmp_path / f"{index.kind}.idx"
+        save_index(index, path)
+        assert load_index(path, ds).params == index.params
+
+
+@pytest.mark.parametrize("seed", [-(2**63) - 1, 2**63, 2**64 - 7])
+def test_params_reject_seeds_outside_int64(seed):
+    for make in (RealLshParams, BinaryLshParams):
+        with pytest.raises(ValueError, match=f"seed must be in .*, got {seed}$"):
+            make(L=1, K=1, seed=seed)
+
+
+def test_make_index_and_load_index_accept_exactly_the_family_kinds(tmp_path):
+    from lshkit.binary_lsh import FAMILIES
+    from lshkit.evaluation import make_index
+
+    ds = generate_synthetic(4, 8, 12, 0.3, seed=5)
+    path = tmp_path / "idx"
+    for code, (kind, family) in enumerate(FAMILIES.items()):
+        index = make_index(kind, ds, 2, 3, seed=4)
+        assert type(index) is family and index.kind == kind
+        save_index(index, path)
+        assert path.read_bytes()[8] == code
+        assert type(load_index(path, ds)) is family
+    for kind in ("none", "exact", "REAL", ""):
+        with pytest.raises(ValueError, match="unknown index kind"):
+            make_index(kind, ds, 2, 3)
+    patched(path, 8, "<B", len(FAMILIES))
+    with pytest.raises(SnapshotError, match=f"unknown index kind code {len(FAMILIES)}"):
+        load_index(path, ds)

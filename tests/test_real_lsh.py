@@ -315,3 +315,23 @@ def test_query_over_shuffled_gapped_ids_equals_id_keyed_query(family, params, me
             assert index.query(q, k, metric) == id_keyed_query(index, q, k, metric)[1:]
     # most candidate sets are large enough for the prefilter to engage
     assert filtered > len(queries) // 2
+
+
+@pytest.mark.parametrize("make", [RealLshParams, BinaryLshParams])
+@pytest.mark.parametrize("name, value", [("L", 2.5), ("K", 2.0), ("K", "3"), ("seed", 1.5), ("seed", None)])
+def test_params_reject_non_integral_l_k_and_seed(make, name, value):
+    fields = {"L": 2, "K": 2, "seed": 0, name: value}
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got {value!r}$"):
+        make(**fields)
+
+
+def test_params_store_integral_values_as_int():
+    params = RealLshParams(L=np.int64(2), K=np.uint8(3), seed=np.int32(-4))
+    assert params == RealLshParams(L=2, K=3, seed=-4)
+    assert all(type(v) is int for v in (params.L, params.K, params.seed))
+    for make, K, message in [(RealLshParams, 0, "K must be >= 1, got 0"),
+                             (BinaryLshParams, 65, "K must be in 1..64, got 65")]:
+        with pytest.raises(ValueError, match="^L must be >= 1, got 0$"):
+            make(L=0, K=K)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make(L=1, K=K)
