@@ -3,7 +3,8 @@
 Each table keys vectors by a K-bit signature: bit j is 1 exactly when the
 dot product with hyperplane j is >= 0 (the zero dot product hashes to 1).
 For unit vectors at angle theta, two vectors agree on one bit with
-probability 1 - theta/pi, so signatures approximate cosine locality.
+probability 1 - theta/pi, so signatures approximate cosine locality. The
+dot products come from the core's ``project``, as the real family's do.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .dataset import Dataset
 # the query path lives in real_lsh.LshIndex; the kernels stay importable
 # here for code that wraps this module's names
 from .distances import as_query, distances_to, rank_top_k  # noqa: F401
-from .real_lsh import STREAM_BINARY, LshIndex, RealLshIndex, check_params
+from .real_lsh import STREAM_BINARY, LshIndex, RealLshIndex, check_params, project
 from .tables import BucketTable
 
 MAX_SIGNATURE_BITS = 64
@@ -38,10 +39,8 @@ class BinaryLshParams:
 
 def hyperplane_bit(hyperplane, vector) -> int:
     """1 if hyperplane . vector >= 0 else 0 (zero dot product hashes to 1)."""
-    r = np.asarray(hyperplane, dtype=np.float64).reshape(1, -1)
-    v = np.asarray(vector, dtype=np.float64).reshape(1, -1)
-    dot = np.einsum("nd,kd->nk", v, r)[0, 0]
-    return 1 if dot >= 0 else 0
+    v, r = (np.asarray(a, dtype=np.float64).reshape(1, -1) for a in (vector, hyperplane))
+    return 1 if project(v, r)[0, 0] >= 0 else 0
 
 
 class BinaryLshIndex(LshIndex):
@@ -69,7 +68,7 @@ class BinaryLshIndex(LshIndex):
             params.L, params.K, dim
         )
         self.coefficients = (self.hyperplanes,)
-        self._planes64 = self.hyperplanes.astype(np.float64)
+        self._axes64 = self.hyperplanes.astype(np.float64)
         # most-significant-first bit weights: slot 0 occupies the top bit
         self._weights = np.array([1 << (params.K - 1 - j) for j in range(params.K)], dtype=np.uint64)
 
@@ -77,13 +76,9 @@ class BinaryLshIndex(LshIndex):
     def _draw(rng: np.random.Generator, dim: int, params: BinaryLshParams):
         return (rng.standard_normal(dim).astype(np.float32),)
 
-    def _table_keys(self, values64: np.ndarray, tables: slice = slice(None)) -> np.ndarray:
-        """(n, L, 1) array of K-bit signatures for a float64 batch; ``tables``
-        selects a range of the L tables."""
-        planes = self._planes64[tables]
-        proj = np.einsum("nd,kd->nk", values64, planes.reshape(-1, self.dim))
-        bits = (proj >= 0).astype(np.uint64).reshape(-1, len(planes), self.params.K)
-        return (bits * self._weights).sum(axis=2, dtype=np.uint64)[..., None]
+    def _quantize(self, proj: np.ndarray, tables: slice) -> np.ndarray:
+        """A key is one word: the K sign bits, packed most-significant-first."""
+        return ((proj >= 0).astype(np.uint64) * self._weights).sum(axis=2, dtype=np.uint64)[..., None]
 
     def _key_prefix(self, words: np.ndarray, K: int) -> np.ndarray:
         """A K-bit signature is the top K bits of a longer one."""

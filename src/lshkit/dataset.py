@@ -20,6 +20,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .distances import as_integer
+
 FVEC_MAGIC = b"LSHF"
 FVEC_VERSION = 1
 
@@ -116,14 +118,17 @@ class Dataset:
         return FeatureVector(vector_id, int(self.label_ids[row]), self.vectors[row])
 
     def row_of(self, vector_id: int) -> int:
-        try:
-            return int(self.rows_of([vector_id])[0])
-        except OverflowError:
-            raise KeyError(f"no vector with id {vector_id}") from None
+        return int(self.rows_of([vector_id])[0])
 
     def rows_of(self, vector_ids) -> np.ndarray:
-        """Storage rows of the given ids; KeyError names the first unknown id."""
-        wanted = np.asarray(vector_ids, dtype=np.int64)
+        """Storage rows of the given ids; TypeError for an id that is not an
+        integer, KeyError naming the first unknown id (or one outside int64)."""
+        if not (isinstance(vector_ids, np.ndarray) and vector_ids.dtype.kind == "i"):
+            vector_ids = [as_integer(i, "vector ids must be integers") for i in vector_ids]
+        try:
+            wanted = np.asarray(vector_ids, dtype=np.int64)
+        except OverflowError:
+            raise KeyError(f"no vector with id {max(vector_ids, key=abs)}") from None
         pos = np.searchsorted(self._sorted_ids, wanted)
         found = pos < len(self._sorted_ids)
         found[found] = self._sorted_ids[pos[found]] == wanted[found]

@@ -44,13 +44,19 @@ def check_metric(metric: str) -> str:
     return metric
 
 
+def as_integer(value, what: str) -> int:
+    """``operator.index(value)``; TypeError "<what>, got <value>" when it is
+    not an integer (2.9 is not truncated to 2)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{what}, got {value!r}") from None
+
+
 def check_k(k) -> int:
     """k as an int: TypeError unless it is an integer, ValueError unless it
     is positive."""
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise TypeError(f"k must be an integer, got {k!r}") from None
+    k = as_integer(k, "k must be an integer")
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     return k

@@ -304,7 +304,7 @@ def run_config(
     :func:`evaluate_grid`; "none" ranks each query by exact scan.
     """
     family = None if index_kind == "none" else _family(index_kind)
-    if not held_out_queries:
+    if len(held_out_queries) == 0:
         raise ValueError("held_out_queries must be non-empty")
     check_k(k)
     if family is not None:
@@ -314,7 +314,7 @@ def run_config(
 
     search = _resolve("exact", ds)
     outcomes = []
-    for qid in held_out_queries:
+    for qid in ds.ids[ds.rows_of(held_out_queries)].tolist():
         relevant = _relevant(ds, qid)
         ranked, stats = _ranked_excluding(search, ds, qid, k, metric)
         outcomes.append(_outcome(qid, ranked, relevant, len(ds), stats))
@@ -346,7 +346,7 @@ def evaluate_grid(
     the results are those of building and querying every cell's own index.
     """
     family = _family(index_kind)
-    if not query_ids:
+    if len(query_ids) == 0:
         raise ValueError("held_out_queries must be non-empty")
     check_k(k)
     check_metric(metric)
@@ -356,8 +356,9 @@ def evaluate_grid(
     for L, K in grid:
         family.make_params(L, K, w, seed)
     top = family.with_coefficients(ds, family.make_params(max(L_values), max(K_values), w, seed))
-    relevant = [_relevant(ds, qid) for qid in query_ids]
     rows = ds.rows_of(query_ids)
+    query_ids = ds.ids[rows].tolist()
+    relevant = [_relevant(ds, qid) for qid in query_ids]
     Ks = sorted(set(K_values))
 
     # per K, per table: the queries' bucket rows, and each bucket's
@@ -592,7 +593,7 @@ def distractor_contamination(
         raise ValueError("dataset carries no source flags; build it with merge_datasets")
     if query_ids is None:
         query_ids = [int(i) for i in ds.ids[ds.sources == 0]]
-    if not query_ids:
+    if len(query_ids) == 0:
         raise ValueError("no queries: the merged dataset has no source-a vectors")
     total = 0
     from_distractor = 0

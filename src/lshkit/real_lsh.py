@@ -4,18 +4,18 @@ Each of the L hash tables keys vectors by a K-tuple of integer hashes
 floor((v . X + b) / w), with X drawn Gaussian(0,1) per coordinate and b
 uniform in [0, w]. Similar vectors land in the same bucket of at least one
 table with high probability; query time only ranks the union of the L
-buckets the query hashes to.
+buckets the query hashes to. The core computes every v . X of both families
+with :func:`project`; a family only quantizes the projections into keys.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset
-from .distances import as_query, check_k, check_metric, distances_to, prefilter, rank_top_k
+from .distances import as_integer, as_query, check_k, check_metric, distances_to, prefilter, rank_top_k
 from .exact import QueryStats
 from .tables import BucketTable, as_dicts, distinct, gather, prefix_tables
 
@@ -45,11 +45,7 @@ def check_params(params) -> None:
     """Store a frozen params' L, K and seed as ints (TypeError if one is not an
     integer) and check L >= 1 and that the seed fits a snapshot's int64."""
     for name in ("L", "K", "seed"):
-        value = getattr(params, name)
-        try:
-            object.__setattr__(params, name, operator.index(value))
-        except TypeError:
-            raise TypeError(f"{name} must be an integer, got {value!r}") from None
+        object.__setattr__(params, name, as_integer(getattr(params, name), f"{name} must be an integer"))
     if params.L < 1:
         raise ValueError(f"L must be >= 1, got {params.L}")
     if not -(2**63) <= params.seed < 2**63:
@@ -81,12 +77,16 @@ class ProjectionFunction:
     b: float
 
 
-def _floor_keys(values64: np.ndarray, axes64: np.ndarray, offsets64: np.ndarray, w: float) -> np.ndarray:
-    """Integer hashes floor((v . X + b) / w); ValueError when one does not fit int64."""
+def project(values64: np.ndarray, axes64: np.ndarray) -> np.ndarray:
+    """(n, k) dot products of a float64 (n, d) batch with float64 (k, d) axes."""
     # einsum (not BLAS) keeps each row's accumulation independent of batch
     # size, so a vector hashes identically at build and at query time
-    proj = np.einsum("nd,kd->nk", values64, axes64) + offsets64
-    keys = np.floor(proj / w)
+    return np.einsum("nd,kd->nk", values64, axes64)
+
+
+def _floor_keys(shifted: np.ndarray, w: float) -> np.ndarray:
+    """Integer hashes floor(shifted / w); ValueError when one does not fit int64."""
+    keys = np.floor(shifted / w)
     if not (keys.min() >= -(2.0**63) and keys.max() < 2.0**63):
         raise ValueError(f"a projection hash overflows int64: |v . X + b| / w reaches 2**63 (w={w})")
     return keys.astype(np.int64)
@@ -94,10 +94,8 @@ def _floor_keys(values64: np.ndarray, axes64: np.ndarray, offsets64: np.ndarray,
 
 def projection_hash(vector, fn: ProjectionFunction, width: float) -> int:
     """floor((vector . X + b) / width), mathematical floor toward -inf."""
-    v = np.asarray(vector, dtype=np.float64).reshape(1, -1)
-    axis = np.asarray(fn.X, dtype=np.float64).reshape(1, -1)
-    keys = _floor_keys(v, axis, np.float64(fn.b), width)
-    return int(keys[0, 0])
+    v, axis = (np.asarray(a, dtype=np.float64).reshape(1, -1) for a in (vector, fn.X))
+    return int(_floor_keys(project(v, axis) + fn.b, width)[0, 0])
 
 
 class LshIndex:
@@ -107,9 +105,10 @@ class LshIndex:
     spawn-key tag), ``make_params(L, K, w, seed)`` (its params),
     ``_draw(rng, dim, params)`` (one (table, slot)'s float32 coefficients,
     in snapshot order), ``coefficients`` (its coefficient arrays, in the
-    order ``_draw`` and its constructor use), ``_table_keys`` (the (n, L, W)
-    key words of a float64 batch), ``_key_prefix`` (the key words of a
-    shorter key) and ``_key_of`` (key words -> the key's Python form)."""
+    order ``_draw`` and its constructor use), ``_axes64`` (its (L, K, d)
+    float64 projection axes), ``_quantize`` ((n, L', K) projections onto L'
+    tables' axes -> their (n, L', W) key words), ``_key_prefix`` (the key
+    words of a shorter key) and ``_key_of`` (key words -> the key's Python form)."""
 
     kind: str
 
@@ -138,6 +137,12 @@ class LshIndex:
         index.bucket_tables = [BucketTable.build(words[:, t]) for t in range(params.L)]
         return index
 
+    def _table_keys(self, values64: np.ndarray, tables: slice = slice(None)) -> np.ndarray:
+        """(n, L', W) key words of a float64 batch in the L' tables ``tables`` selects."""
+        axes = self._axes64[tables]
+        proj = project(values64, axes.reshape(-1, self.dim))
+        return self._quantize(proj.reshape(-1, len(axes), self.params.K), tables)
+
     def _prefix_tables(self, words: np.ndarray, Ks) -> dict[int, BucketTable]:
         """For each K in ``Ks``, the table that an index with K slots builds,
         from the (n, W) key words of one table of this index."""
@@ -152,8 +157,8 @@ class LshIndex:
     def _vector_key(self, table_index: int, vector):
         if not 0 <= table_index < self.params.L:
             raise ValueError(f"table_index {table_index} out of range for L={self.params.L}")
-        qv = as_query(vector, self.dim).astype(np.float64)
-        return self._key_of(self._table_keys(qv.reshape(1, -1))[0, table_index].tolist())
+        qv = as_query(vector, self.dim).astype(np.float64).reshape(1, -1)
+        return self._key_of(self._table_keys(qv, slice(table_index, table_index + 1))[0, 0].tolist())
 
     def _candidate_rows(self, qv: np.ndarray) -> tuple[np.ndarray, int]:
         """The distinct rows, ascending, in the L buckets of an ``as_query``
@@ -223,12 +228,9 @@ class RealLshIndex(LshIndex):
         """Axis X, then offset b: the order that fixes every seed's coefficients."""
         return rng.standard_normal(dim).astype(np.float32), np.float32(rng.uniform(0.0, params.w))
 
-    def _table_keys(self, values64: np.ndarray, tables: slice = slice(None)) -> np.ndarray:
-        """(n, L, K) integer hash array for a float64 batch; ``tables``
-        selects a range of the L tables."""
-        axes, offsets = self._axes64[tables], self._offsets64[tables]
-        flat = _floor_keys(values64, axes.reshape(-1, self.dim), offsets.reshape(-1), self.params.w)
-        return flat.reshape(-1, len(axes), self.params.K)
+    def _quantize(self, proj: np.ndarray, tables: slice) -> np.ndarray:
+        """A key is the K integer hashes floor((v . X + b) / w)."""
+        return _floor_keys(proj + self._offsets64[tables], self.params.w)
 
     @staticmethod
     def _key_prefix(words: np.ndarray, K: int) -> np.ndarray:

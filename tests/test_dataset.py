@@ -266,3 +266,24 @@ def test_get_unknown_id():
     ds = random_dataset()
     with pytest.raises(KeyError):
         ds.get(10_000)
+
+
+@pytest.mark.parametrize("bad", [2.9, 3.0, "4", None, np.float64(1.0)])
+def test_non_integral_ids_are_rejected_not_truncated(bad):
+    ds = random_dataset()
+    with pytest.raises(TypeError, match="vector ids must be integers"):
+        ds.rows_of([1, bad])
+    with pytest.raises(TypeError, match="vector ids must be integers"):
+        ds.get(bad)
+    with pytest.raises(TypeError, match="vector ids must be integers"):
+        ds.rows_of(np.array([1, bad], dtype=object))
+
+
+def test_rows_of_accepts_integer_like_ids_and_nothing():
+    ds = random_dataset()
+    assert ds.rows_of([]).tolist() == []
+    assert ds.rows_of([True, np.int64(3), np.uint8(2)]).tolist() == [1, 3, 2]
+    assert ds.rows_of(np.array([5, 1], dtype=np.uint16)).tolist() == [5, 1]
+    for missing in ([1, 2**70], [-(2**70)], np.array([2**64 - 2], dtype=np.uint64)):
+        with pytest.raises(KeyError, match=f"no vector with id {missing[-1]}"):
+            ds.rows_of(missing)

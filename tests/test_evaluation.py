@@ -595,3 +595,47 @@ def test_backend_spelled_for_another_function_raises_value_error():
     for backend in ("exact", "none", None):
         with pytest.raises(ValueError, match="unknown backend"):
             distractor_contamination(backend, k=3)
+
+
+@pytest.mark.parametrize("kind", ["none", "real", "binary"])
+def test_array_query_ids_equal_list_query_ids(kind):
+    ds = generate_synthetic(4, 6, 8, 0.2, seed=12)
+    queries = select_queries(ds, seed=4, queries_per_class=2)
+    lsh = {} if kind == "none" else {"L": 3, "K": 2}
+    for ids in (queries, queries[:1]):
+        listed = run_config(ds, ids, kind, **lsh)
+        arrayed = run_config(ds, np.array(ids), kind, **lsh)
+        assert arrayed == listed
+        assert all(type(o.query_id) is int for o in arrayed[1])
+    if kind != "none":
+        assert parameter_sweep(ds, [1, 2], [1, 3], kind, np.array(queries)) == parameter_sweep(
+            ds, [1, 2], [1, 3], kind, queries
+        )
+
+
+def test_empty_query_id_array_is_refused():
+    ds = generate_synthetic(3, 4, 4, 0.1, seed=1)
+    for kind in ("none", "real"):
+        with pytest.raises(ValueError, match="held_out_queries must be non-empty"):
+            run_config(ds, np.array([], dtype=np.int64), kind, L=1, K=1)
+    with pytest.raises(ValueError, match="held_out_queries must be non-empty"):
+        parameter_sweep(ds, [1], [1], query_ids=np.array([], dtype=np.int64))
+
+
+def test_non_integral_query_ids_are_rejected():
+    ds = generate_synthetic(3, 4, 4, 0.1, seed=1)
+    for kind in ("none", "real"):
+        with pytest.raises(TypeError, match="vector ids must be integers"):
+            run_config(ds, [0, 2.5], kind, L=1, K=1)
+    with pytest.raises(TypeError, match="vector ids must be integers"):
+        class_analysis(ds, query_ids=[2.5])
+
+
+def test_contamination_accepts_array_query_ids():
+    a = generate_synthetic(3, 5, 8, 0.1, seed=26)
+    b = _shifted(generate_synthetic(3, 5, 8, 0.1, seed=29), 0.5)
+    merged = merge_datasets(a, b)
+    ids = [0, 3, 7]
+    assert distractor_contamination(merged, k=5, query_ids=np.array(ids)) == distractor_contamination(
+        merged, k=5, query_ids=ids
+    )

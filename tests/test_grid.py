@@ -27,8 +27,9 @@ from lshkit import (
     select_queries,
     sweep_csv_text,
 )
+from lshkit.binary_lsh import hyperplane_bit
 from lshkit.evaluation import make_index
-from lshkit.real_lsh import RealLshIndex
+from lshkit.real_lsh import RealLshIndex, projection_hash
 from lshkit.tables import BucketTable, prefix_tables
 
 
@@ -236,3 +237,22 @@ def test_table_buckets_match_single_lookups():
     for i, key in enumerate(probes):
         expected = table.bucket(np.ascontiguousarray(key).view(table.keys.dtype)[0])
         assert np.array_equal(rows[bounds[i] : bounds[i + 1]], expected)
+
+
+@pytest.mark.parametrize("seed", [0, -5, 2**63 - 1])
+def test_table_keys_equal_per_slot_hashes(seed):
+    """Both families' key words are their slots' scalar hashes: the K
+    projection hashes (real) or the K hyperplane bits, first slot in the top
+    bit (binary)."""
+    ds = clustered(3, 4, 5, seed=3)
+    L, K = 3, 4
+    real = make_index("real", ds, L, K, w=0.5, seed=seed)
+    binary = make_index("binary", ds, L, K, seed=seed)
+    real_keys, binary_keys = real._table_keys(ds.values64), binary._table_keys(ds.values64)
+    assert real_keys.shape == (len(ds), L, K) and binary_keys.shape == (len(ds), L, 1)
+    for row, v in enumerate(ds.vectors):
+        for t in range(L):
+            hashes = [projection_hash(v, real.projection(t, j), 0.5) for j in range(K)]
+            bits = "".join(str(hyperplane_bit(binary.hyperplane(t, j), v)) for j in range(K))
+            assert real_keys[row, t].tolist() == hashes == list(real.bucket_key(t, v))
+            assert int(binary_keys[row, t, 0]) == int(bits, 2) == binary.signature(t, v)
