@@ -28,6 +28,18 @@ FVEC_VERSION = 1
 _MASK64 = (1 << 64) - 1
 
 
+def child_rng(seed: int, *key: int) -> np.random.Generator:
+    """Child generator for (seed, *key): PCG64 over SeedSequence(seed, spawn_key=key).
+
+    LSH coefficients at (table t, slot j) depend only on (seed, t, j), never
+    on L or K, so an index with more tables or longer keys reuses the smaller
+    index's functions as a prefix.
+    """
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=seed & _MASK64, spawn_key=key)
+    )
+
+
 class DatasetFormatError(ValueError):
     """A dataset file violates the fvec or csv format contract."""
 
@@ -377,7 +389,7 @@ def generate_synthetic(
         raise ValueError("num_classes, per_class and dim must be positive")
     if cluster_std < 0:
         raise ValueError("cluster_std must be non-negative")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed & _MASK64))
+    rng = child_rng(seed)
     centroids = rng.standard_normal((num_classes, dim))
     noise = rng.standard_normal((num_classes, per_class, dim)) * cluster_std
     vectors = (centroids[:, None, :] + noise).reshape(-1, dim).astype(np.float32)

@@ -21,10 +21,10 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .binary_lsh import FAMILIES
-from .dataset import Dataset
+from .dataset import Dataset, child_rng
 from .distances import check_k, check_metric, distances_to, rank_top_k
 from .exact import QueryStats, knn_exact
-from .real_lsh import DEFAULT_WIDTH, LshIndex, RealLshIndex, child_rng
+from .real_lsh import DEFAULT_WIDTH, LshIndex, RealLshIndex
 from .tables import distinct, label_majorities
 
 STREAM_HOLDOUT = 2
@@ -217,12 +217,6 @@ def _resolve(backend, ds: Dataset | None) -> Callable:
     raise ValueError(f"unknown backend {backend!r}: expected {accepted}")
 
 
-def _ranked_excluding(search: Callable, ds: Dataset, query_id: int, k: int, metric: str):
-    """Top-k ids for a dataset member, with the member itself removed."""
-    results, stats = search(ds.get(query_id).values, k + 1, metric)
-    return [rid for rid, _ in results if rid != query_id][:k], stats
-
-
 # ---------------------------------------------------------------------------
 # Single-configuration evaluation and sweeps
 # ---------------------------------------------------------------------------
@@ -264,9 +258,10 @@ class QueryOutcome:
         return self.seq_cost / self.charged_cost
 
 
-def _relevant(ds: Dataset, query_id: int) -> set[int]:
-    """The query's class members other than itself; ValueError when none."""
-    relevant = {int(i) for i in ds.class_ids(ds.get(query_id).label_id)} - {query_id}
+def _relevant(ds: Dataset, row: int) -> set[int]:
+    """The class members of storage row ``row`` but itself; ValueError when none."""
+    query_id = int(ds.ids[row])
+    relevant = {int(i) for i in ds.class_ids(ds.label_ids[row])} - {query_id}
     if not relevant:
         raise ValueError(f"query {query_id}: its class has no other member")
     return relevant
@@ -282,6 +277,18 @@ def _outcome(query_id: int, ranked, relevant: set[int], n: int, stats: QueryStat
         charged_cost=max(1, raw),
         empty_candidates=stats.candidates_examined == 0,
     )
+
+
+def _member_outcomes(search: Callable, ds: Dataset, rows, k: int, metric: str) -> list[QueryOutcome]:
+    """Query each storage row's vector for its top k + 1, drop the member from
+    its results and its relevant set, and keep k results."""
+    outcomes = []
+    for row in rows:
+        query_id, relevant = int(ds.ids[row]), _relevant(ds, row)
+        results, stats = search(ds.vectors[row], k + 1, metric)
+        ranked = [rid for rid, _ in results if rid != query_id][:k]
+        outcomes.append(_outcome(query_id, ranked, relevant, len(ds), stats))
+    return outcomes
 
 
 def run_config(
@@ -312,12 +319,7 @@ def run_config(
             raise ValueError(f"L and K are required for index kind {index_kind!r}")
         return evaluate_grid(ds, held_out_queries, index_kind, [L], [K], w, seed, k, metric)[0]
 
-    search = _resolve("exact", ds)
-    outcomes = []
-    for qid in ds.ids[ds.rows_of(held_out_queries)].tolist():
-        relevant = _relevant(ds, qid)
-        ranked, stats = _ranked_excluding(search, ds, qid, k, metric)
-        outcomes.append(_outcome(qid, ranked, relevant, len(ds), stats))
+    outcomes = _member_outcomes(_resolve("exact", ds), ds, ds.rows_of(held_out_queries), k, metric)
     mean_ap = float(np.mean([o.ap for o in outcomes]))
     return EvalReport(0, 0, mean_ap, 1.0, 0.0, 0.0, 0, 0, 0.0, 0.0), outcomes
 
@@ -358,7 +360,7 @@ def evaluate_grid(
     top = family.with_coefficients(ds, family.make_params(max(L_values), max(K_values), w, seed))
     rows = ds.rows_of(query_ids)
     query_ids = ds.ids[rows].tolist()
-    relevant = [_relevant(ds, qid) for qid in query_ids]
+    relevant = [_relevant(ds, row) for row in rows]
     Ks = sorted(set(K_values))
 
     # per K, per table: the queries' bucket rows, and each bucket's
@@ -506,10 +508,7 @@ def class_analysis(
     if (sizes == 1).any():
         raise ValueError(f"class {ds.labels[int(np.argmax(sizes == 1))]!r} has fewer than 2 samples")
     ids, labels = ds.ids[rows], ds.label_ids[rows]
-    aps = np.array([
-        average_precision(_ranked_excluding(search, ds, qid, k, metric)[0], _relevant(ds, qid))
-        for qid in ids.tolist()
-    ])
+    aps = np.array([o.ap for o in _member_outcomes(search, ds, rows, k, metric)])
     reports: list[ClassReport] = []
     for label_id in np.unique(labels):
         values, queries = aps[labels == label_id], ids[labels == label_id]
@@ -591,14 +590,13 @@ def distractor_contamination(
     ds = backend if scan else backend.dataset
     if ds.sources is None:
         raise ValueError("dataset carries no source flags; build it with merge_datasets")
-    if query_ids is None:
-        query_ids = [int(i) for i in ds.ids[ds.sources == 0]]
-    if len(query_ids) == 0:
+    rows = np.flatnonzero(ds.sources == 0) if query_ids is None else ds.rows_of(query_ids)
+    if len(rows) == 0:
         raise ValueError("no queries: the merged dataset has no source-a vectors")
     total = 0
     from_distractor = 0
-    for qid in query_ids:
-        results, _ = search(ds.get(qid).values, k, metric)
+    for row in rows:
+        results, _ = search(ds.vectors[row], k, metric)
         total += len(results)
         from_distractor += int(ds.sources[ds.rows_of([rid for rid, _ in results])].sum())
     return from_distractor / total if total else 0.0

@@ -131,6 +131,8 @@ def load_index(path: str | os.PathLike, ds: Dataset) -> LshIndex:
         params = family.make_params(L, K, w, seed)
     except ValueError as exc:
         raise SnapshotError(f"invalid index parameters: {exc}") from None
+    if w != getattr(params, "w", 0.0):  # a family without a width stores 0
+        raise SnapshotError(f"invalid index parameters: a {family.kind} index has no width w, got {w}")
     if dim != ds.dim:
         raise SnapshotError(f"snapshot dimensionality {dim} does not match dataset dim {ds.dim}")
     if fingerprint != dataset_fingerprint(ds):

@@ -14,12 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, child_rng
 from .distances import as_integer, as_query, check_k, check_metric, distances_to, prefilter, rank_top_k
 from .exact import QueryStats
 from .tables import BucketTable, as_dicts, distinct, gather, prefix_tables
-
-_MASK64 = (1 << 64) - 1
 
 # spawn-key stream tags, so the per-(table, slot) generators of the two
 # index families never collide for the same master seed
@@ -27,18 +25,6 @@ STREAM_REAL = 0
 STREAM_BINARY = 1
 
 DEFAULT_WIDTH = 4.0
-
-
-def child_rng(seed: int, *key: int) -> np.random.Generator:
-    """Child generator for (seed, *key): PCG64 over SeedSequence(seed, spawn_key=key).
-
-    Coefficients at (table t, slot j) depend only on (seed, t, j), never on
-    L or K, so an index with more tables or longer keys reuses the smaller
-    index's functions as a prefix.
-    """
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed & _MASK64, spawn_key=key)
-    )
 
 
 def check_params(params) -> None:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,23 @@ def test_generate_well_separated_classes_have_perfect_ap():
     ds = generate_synthetic(2, 5, 8, 0.1, seed=13)
     for fv in ds:
         assert oracle_member_ap(ds, fv.id, k=10, metric="cosine") == 1.0
+
+
+# sha256 of generate_synthetic(3, 4, 5, 0.5, seed).vectors; seeds are taken
+# mod 2**64, so -2**70 draws what 0 draws
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (0, "42298d46644b59cc8c25c45586b6b2225728a7bdcf4a89beba03380e043a8ef3"),
+        (7, "22230fd2cb6ef648203089307338ff0ca846a075d1e47d02d84975068e76564c"),
+        (-1, "af31f0b954b1b82753c591ebeff8c1cde7adec13e3d2e1c94c91082607dbd226"),
+        (2**64 + 3, "0058b73b59b087f51b1e018c9bdde3fc3d96ce02d0479367d09940e2bbcff1c7"),
+        (-(2**70), "42298d46644b59cc8c25c45586b6b2225728a7bdcf4a89beba03380e043a8ef3"),
+    ],
+)
+def test_generate_draws_are_pinned(seed, digest):
+    vectors = generate_synthetic(3, 4, 5, 0.5, seed=seed).vectors
+    assert hashlib.sha256(vectors.tobytes()).hexdigest() == digest
 
 
 def test_generate_validates_arguments():

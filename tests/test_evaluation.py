@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from lshkit import evaluation
 from lshkit import (
     BinaryLshParams,
     Dataset,
@@ -639,3 +640,41 @@ def test_contamination_accepts_array_query_ids():
     assert distractor_contamination(merged, k=5, query_ids=np.array(ids)) == distractor_contamination(
         merged, k=5, query_ids=ids
     )
+
+
+def test_contamination_resolves_every_query_id_before_searching(monkeypatch):
+    a = generate_synthetic(3, 5, 8, 0.1, seed=26)
+    merged = merge_datasets(a, _shifted(generate_synthetic(3, 5, 8, 0.1, seed=29), 0.5))
+    calls = []
+    scan = evaluation.knn_exact
+
+    def counted(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(evaluation, "knn_exact", counted)
+    with pytest.raises(KeyError, match="no vector with id 999"):
+        distractor_contamination(merged, k=5, query_ids=[0, 999])
+    assert calls == []
+    distractor_contamination(merged, k=5, query_ids=[0])
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_class_analysis_aps_are_the_exact_baseline_aps(metric):
+    ds = generate_synthetic(4, 6, 8, 0.6, seed=22)
+    ids = [int(i) for i in ds.ids[::-3]]
+    _, outcomes = run_config(ds, ids, "none", k=5, metric=metric)
+    by_class = {}
+    for o in outcomes:
+        by_class.setdefault(ds.label_of(o.query_id), {})[o.query_id] = o.ap
+    reports = class_analysis(ds, "exact", k=5, metric=metric, query_ids=ids)
+    assert [r.class_label for r in reports] == sorted(by_class)
+    for rep in reports:
+        aps = by_class[rep.class_label]
+        values = np.array([aps[q] for q in sorted(aps)])
+        assert rep.mean_ap == float(values.mean())
+        assert rep.std_ap == float(values.std())
+        assert (rep.min_ap, rep.max_ap) == (min(aps.values()), max(aps.values()))
+        assert rep.best_id == min(q for q, ap in aps.items() if ap == rep.max_ap)
+        assert rep.worst_id == min(q for q, ap in aps.items() if ap == rep.min_ap)

@@ -293,6 +293,16 @@ def test_invalid_params_rejected(tmp_path, kind, offset, fmt, value):
         load_index(path, ds)
 
 
+@pytest.mark.parametrize("value", [4.0, -0.5, float("nan")])
+def test_binary_snapshot_with_a_width_rejected(tmp_path, value):
+    ds, _, binary = make_indexes()
+    path = tmp_path / "b.idx"
+    save_index(binary, path)
+    patched(path, 17, "<d", value)  # w, which a binary snapshot stores as 0
+    with pytest.raises(SnapshotError, match="invalid index parameters: a binary index has no width w"):
+        load_index(path, ds)
+
+
 def test_version_1_rejected(tmp_path):
     ds, real, _ = make_indexes()
     path = tmp_path / "r.idx"
