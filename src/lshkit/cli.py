@@ -14,6 +14,7 @@ import sys
 from .binary_lsh import FAMILIES
 from .dataset import generate_synthetic, load_dataset, merge_datasets, save_dataset
 from .evaluation import (
+    _resolve,
     best_tradeoff,
     bucket_statistics,
     class_analysis,
@@ -26,7 +27,6 @@ from .evaluation import (
     select_queries,
     write_sweep_csv,
 )
-from .exact import knn_exact
 from .persistence import load_index, save_index
 from .real_lsh import DEFAULT_WIDTH
 
@@ -96,18 +96,10 @@ def cmd_build(args) -> int:
 
 
 def cmd_query(args) -> int:
+    """``query`` searches the --index snapshot; ``scan`` (no --index) scans."""
     ds = load_dataset(args.input)
-    index = load_index(args.index, ds)
-    q = ds.get(args.query_id).values
-    results, stats = index.query(q, k=args.k, metric=args.metric)
-    print(_query_json(args.query_id, args.k, args.metric, results, stats))
-    return 0
-
-
-def cmd_scan(args) -> int:
-    ds = load_dataset(args.input)
-    q = ds.get(args.query_id).values
-    results, stats = knn_exact(ds, q, k=args.k, metric=args.metric)
+    search = _resolve("exact" if args.index is None else load_index(args.index, ds), ds)
+    results, stats = search(ds.get(args.query_id).values, args.k, args.metric)
     print(_query_json(args.query_id, args.k, args.metric, results, stats))
     return 0
 
@@ -220,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--query-id", dest="query_id", type=int, required=True)
     _add_metric_k(p)
-    p.set_defaults(func=cmd_scan)
+    p.set_defaults(func=cmd_query, index=None)
 
     p = sub.add_parser("sweep", help="evaluate an (L, K) parameter grid")
     p.add_argument("--input", required=True)

@@ -33,11 +33,13 @@ def child_rng(seed: int, *key: int) -> np.random.Generator:
 
     LSH coefficients at (table t, slot j) depend only on (seed, t, j), never
     on L or K, so an index with more tables or longer keys reuses the smaller
-    index's functions as a prefix.
+    index's functions as a prefix. ``seed`` must be an integer (TypeError
+    otherwise) and is reduced mod 2**64, so the dataset and hold-out seeds of
+    ``generate_synthetic`` and ``select_queries`` alias mod 2**64; index
+    params, which snapshots store, require int64 instead.
     """
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed & _MASK64, spawn_key=key)
-    )
+    seed = as_integer(seed, "seed must be an integer")
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed & _MASK64, spawn_key=key))
 
 
 class DatasetFormatError(ValueError):

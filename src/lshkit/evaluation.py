@@ -267,12 +267,16 @@ def _relevant(ds: Dataset, row: int) -> set[int]:
     return relevant
 
 
-def _outcome(query_id: int, ranked, relevant: set[int], n: int, stats: QueryStats) -> QueryOutcome:
+def _member_outcome(ds: Dataset, row: int, relevant: set[int], results, stats: QueryStats, k: int) -> QueryOutcome:
+    """The outcome of storage row ``row``'s top k + 1 ``results``: drop the
+    member, keep k, and charge at least 1 against a scan of every row."""
+    query_id = int(ds.ids[row])
+    ranked = [rid for rid, _ in results if rid != query_id][:k]
     raw = stats.distance_computations
     return QueryOutcome(
         query_id=query_id,
         ap=average_precision(ranked, relevant),
-        seq_cost=n,
+        seq_cost=len(ds),
         index_cost=raw,
         charged_cost=max(1, raw),
         empty_candidates=stats.candidates_examined == 0,
@@ -280,15 +284,14 @@ def _outcome(query_id: int, ranked, relevant: set[int], n: int, stats: QueryStat
 
 
 def _member_outcomes(search: Callable, ds: Dataset, rows, k: int, metric: str) -> list[QueryOutcome]:
-    """Query each storage row's vector for its top k + 1, drop the member from
-    its results and its relevant set, and keep k results."""
-    outcomes = []
-    for row in rows:
-        query_id, relevant = int(ds.ids[row]), _relevant(ds, row)
-        results, stats = search(ds.vectors[row], k + 1, metric)
-        ranked = [rid for rid, _ in results if rid != query_id][:k]
-        outcomes.append(_outcome(query_id, ranked, relevant, len(ds), stats))
-    return outcomes
+    """The member outcome of each storage row, searched with ``search``."""
+    return [_member_outcome(ds, r, _relevant(ds, r), *search(ds.vectors[r], k + 1, metric), k) for r in rows]
+
+
+def _report(L: int, K: int, outcomes: Sequence[QueryOutcome], bucket_stats: BucketStats) -> EvalReport:
+    """mAP, IE as the ratio of summed costs, and the bucket statistics."""
+    ie = improvement_in_efficiency(sum(o.seq_cost for o in outcomes), sum(o.charged_cost for o in outcomes))
+    return EvalReport(L, K, float(np.mean([o.ap for o in outcomes])), ie, *astuple(bucket_stats))
 
 
 def run_config(
@@ -320,8 +323,7 @@ def run_config(
         return evaluate_grid(ds, held_out_queries, index_kind, [L], [K], w, seed, k, metric)[0]
 
     outcomes = _member_outcomes(_resolve("exact", ds), ds, ds.rows_of(held_out_queries), k, metric)
-    mean_ap = float(np.mean([o.ap for o in outcomes]))
-    return EvalReport(0, 0, mean_ap, 1.0, 0.0, 0.0, 0, 0, 0.0, 0.0), outcomes
+    return _report(0, 0, outcomes, compute_bucket_stats(())), outcomes
 
 
 def evaluate_grid(
@@ -359,7 +361,6 @@ def evaluate_grid(
         family.make_params(L, K, w, seed)
     top = family.with_coefficients(ds, family.make_params(max(L_values), max(K_values), w, seed))
     rows = ds.rows_of(query_ids)
-    query_ids = ds.ids[rows].tolist()
     relevant = [_relevant(ds, row) for row in rows]
     Ks = sorted(set(K_values))
 
@@ -376,8 +377,7 @@ def evaluate_grid(
 
     cells = list(dict.fromkeys(grid))
     outcomes: dict[tuple[int, int], list[QueryOutcome]] = {cell: [] for cell in cells}
-    n = len(ds)
-    for i, (qid, row) in enumerate(zip(query_ids, rows)):
+    for i, row in enumerate(rows):
         parts = {K: [members[bounds[i] : bounds[i + 1]] for members, bounds in hits[K]] for K in Ks}
         union = distinct(np.concatenate([p for K in Ks for p in parts[K]]))
         dists = distances_to(ds.values64[union], ds.vectors[row], metric)
@@ -385,21 +385,13 @@ def evaluate_grid(
             multiset = np.concatenate(parts[K][:L])
             unique = distinct(multiset)
             results = rank_top_k(ds.ids[unique], dists[np.searchsorted(union, unique)], k + 1)
-            ranked = [rid for rid, _ in results if rid != qid][:k]
             stats = QueryStats(distance_computations=len(multiset), candidates_examined=len(unique))
-            outcomes[L, K].append(_outcome(qid, ranked, relevant[i], n, stats))
+            outcomes[L, K].append(_member_outcome(ds, row, relevant[i], results, stats, k))
 
     reports = {}
     for L, K in cells:
-        outs = outcomes[L, K]
         majorities, sizes = (np.concatenate(arrays) for arrays in zip(*label_counts[K][:L]))
-        reports[L, K] = EvalReport(
-            L,
-            K,
-            float(np.mean([o.ap for o in outs])),
-            improvement_in_efficiency(sum(o.seq_cost for o in outs), sum(o.charged_cost for o in outs)),
-            *astuple(_bucket_stats(majorities, sizes)),
-        )
+        reports[L, K] = _report(L, K, outcomes[L, K], _bucket_stats(majorities, sizes))
     for cell in grid:
         empty = sum(o.empty_candidates for o in outcomes[cell])
         if empty:
@@ -497,12 +489,14 @@ def class_analysis(
 
     backend is "exact" or an index built over ds (ValueError otherwise). By
     default every sample of every class is used as a query in turn; pass
-    query_ids to restrict the protocol (classes left with no query are
-    skipped; KeyError names an id not in ds). Classes need at least 2 samples
+    non-empty query_ids to restrict the protocol (classes left with no query
+    are skipped; KeyError names an id not in ds). Classes need at least 2 samples
     so the relevant set is never empty.
     """
     check_k(k)
     search = _resolve(backend, ds)
+    if query_ids is not None and len(query_ids) == 0:
+        raise ValueError("query_ids must be non-empty")
     rows = np.arange(len(ds)) if query_ids is None else np.unique(ds.rows_of(query_ids))
     sizes = np.bincount(ds.label_ids, minlength=len(ds.labels))
     if (sizes == 1).any():
@@ -593,10 +587,5 @@ def distractor_contamination(
     rows = np.flatnonzero(ds.sources == 0) if query_ids is None else ds.rows_of(query_ids)
     if len(rows) == 0:
         raise ValueError("no queries: the merged dataset has no source-a vectors")
-    total = 0
-    from_distractor = 0
-    for row in rows:
-        results, _ = search(ds.vectors[row], k, metric)
-        total += len(results)
-        from_distractor += int(ds.sources[ds.rows_of([rid for rid, _ in results])].sum())
-    return from_distractor / total if total else 0.0
+    found = [rid for row in rows for rid, _ in search(ds.vectors[row], k, metric)[0]]
+    return int(ds.sources[ds.rows_of(found)].sum()) / len(found) if found else 0.0

@@ -10,6 +10,7 @@ from lshkit import (
     load_dataset,
     merge_datasets,
     save_dataset,
+    select_queries,
 )
 from lshkit.dataset import from_fvec_bytes, to_fvec_bytes
 
@@ -203,6 +204,14 @@ def test_generate_well_separated_classes_have_perfect_ap():
 def test_generate_draws_are_pinned(seed, digest):
     vectors = generate_synthetic(3, 4, 5, 0.5, seed=seed).vectors
     assert hashlib.sha256(vectors.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed", [2.5, "3", None])
+def test_non_integral_seed_is_rejected(seed):
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        generate_synthetic(3, 4, 5, 0.5, seed=seed)
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        select_queries(generate_synthetic(3, 4, 5, 0.5, seed=1), seed)
 
 
 def test_generate_validates_arguments():

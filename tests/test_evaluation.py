@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -678,3 +679,50 @@ def test_class_analysis_aps_are_the_exact_baseline_aps(metric):
         assert (rep.min_ap, rep.max_ap) == (min(aps.values()), max(aps.values()))
         assert rep.best_id == min(q for q, ap in aps.items() if ap == rep.max_ap)
         assert rep.worst_id == min(q for q, ap in aps.items() if ap == rep.min_ap)
+
+
+def test_class_analysis_refuses_empty_query_ids():
+    ds = generate_synthetic(3, 4, 4, 0.1, seed=1)
+    for ids in ([], np.array([], dtype=np.int64)):
+        with pytest.raises(ValueError, match="query_ids must be non-empty"):
+            class_analysis(ds, "exact", query_ids=ids)
+
+
+def _evaluation_outputs(metric: str) -> str:
+    """repr of every evaluation function's output on small fixed data, with
+    the warnings they raise."""
+    ds = generate_synthetic(4, 12, 10, 0.7, seed=5)
+    queries = select_queries(ds, seed=1, queries_per_class=3)
+    real = build_real_index(ds, RealLshParams(L=3, K=2, w=3.0, seed=2))
+    binary = build_binary_index(ds, BinaryLshParams(L=3, K=5, seed=2))
+    merged = merge_datasets(ds, generate_synthetic(3, 10, 10, 0.7, seed=6))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        outputs = [
+            run_config(ds, queries, "none", k=5, metric=metric),
+            run_config(ds, queries, "real", 3, 2, 3.0, 2, 5, metric),
+            run_config(ds, queries, "binary", 3, 5, seed=2, k=5, metric=metric),
+            evaluation.evaluate_grid(ds, queries, "real", [1, 3], [1, 2], 3.0, 2, 5, metric),
+            evaluation.evaluate_grid(ds, queries, "binary", [1, 3], [3, 5], seed=2, k=5, metric=metric),
+            evaluation.evaluate_grid(ds, queries, "real", [1, 2], [6], 0.3, 4, 5, metric),
+            class_analysis(ds, "exact", 5, metric),
+            class_analysis(ds, real, 5, metric, query_ids=queries[::-1]),
+            class_analysis(ds, binary, 5, metric),
+            distractor_contamination(merged, 5, metric),
+            distractor_contamination(build_real_index(merged, RealLshParams(L=3, K=2, w=3.0, seed=3)), 5, metric),
+            distractor_contamination(build_binary_index(merged, BinaryLshParams(L=3, K=5, seed=3)), 5, metric),
+        ]
+    return repr((outputs, [str(w.message) for w in caught]))
+
+
+# sha256 of _evaluation_outputs(metric); any change to a report, outcome,
+# class report, contamination value or warning fails
+PINNED_EVALUATION_OUTPUTS = [
+    ("cosine", "ba70685dd7db727e746687fe5a2944e76f1efddb4c10aae2f1e1e9627f1f94d4"),
+    ("euclidean", "1915099689e1c85f936cd5275725a8e45293b35b5aed35d2b5a4f60e125fb27c"),
+]
+
+
+@pytest.mark.parametrize("metric, digest", PINNED_EVALUATION_OUTPUTS)
+def test_evaluation_outputs_are_pinned(metric, digest):
+    assert hashlib.sha256(_evaluation_outputs(metric).encode()).hexdigest() == digest
