@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import csv
 import os
-import struct
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,6 +39,22 @@ def child_rng(seed: int, *key: int) -> np.random.Generator:
     """
     seed = as_integer(seed, "seed must be an integer")
     return np.random.default_rng(np.random.SeedSequence(entropy=seed & _MASK64, spawn_key=key))
+
+
+def _whole_numbers(values, what: str) -> np.ndarray:
+    """``values`` as int64: integers, or floats that are whole numbers within
+    int64 (``np.zeros(n)``); TypeError naming the first other value (0.5,
+    NaN, "1")."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "O":  # Python ints beyond int64 raise OverflowError
+        return np.array([as_integer(v, f"{what} must be whole numbers") for v in arr.flat], dtype=np.int64)
+    if arr.dtype.kind == "f":
+        whole = (np.floor(arr) == arr) & (np.abs(arr) < 2.0**63)
+    else:
+        whole = np.full(arr.shape, arr.dtype.kind in "biu")
+    if not whole.all():
+        raise TypeError(f"{what} must be whole numbers, got {arr[~whole].flat[0].item()!r}")
+    return np.ascontiguousarray(arr, dtype=np.int64)
 
 
 class DatasetFormatError(ValueError):
@@ -84,8 +99,8 @@ class Dataset:
         if len(set(labels)) != len(labels):
             raise ValueError("label table contains duplicates")
 
-        ids = np.ascontiguousarray(ids, dtype=np.int64)
-        label_ids = np.ascontiguousarray(label_ids, dtype=np.int64)
+        ids = _whole_numbers(ids, "vector ids")
+        label_ids = _whole_numbers(label_ids, "label ids")
         vectors = np.ascontiguousarray(vectors, dtype=np.float32).reshape(-1, dim)
         n = len(ids)
         if label_ids.shape != (n,) or vectors.shape != (n, dim):
@@ -184,19 +199,41 @@ def _record_dtype(dim: int) -> np.dtype:
     return np.dtype([("id", "<u8"), ("label_id", "<u4"), ("values", "<f4", (dim,))])
 
 
+# after the magic; then per label its u16 byte length and UTF-8 bytes, then the u64 count
+_FVEC_HEADER = np.dtype([("version", "<u2"), ("dim", "<u4"), ("labels", "<u4")])
+
 FVEC_BLOCK_ROWS = 4096
+
+
+class _Reader:
+    """Reads ``data`` as consecutive arrays from ``offset`` on, for the fvec and
+    snapshot readers; a read past the end raises ``truncated(its start offset)``."""
+
+    def __init__(self, data: bytes, offset: int, truncated: Callable[[int], Exception]):
+        self.data = data
+        self.offset = offset
+        self._truncated = truncated
+
+    def take(self, count: int, dtype) -> np.ndarray:
+        """The next ``count`` items of ``dtype``, a read-only view of the data."""
+        nbytes = count * np.dtype(dtype).itemsize
+        if nbytes > len(self.data) - self.offset:
+            raise self._truncated(self.offset)
+        array = np.frombuffer(self.data, dtype=dtype, count=count, offset=self.offset)
+        self.offset += nbytes
+        return array
 
 
 def fvec_chunks(ds: Dataset) -> Iterator[bytes]:
     """The fvec wire format of a dataset in pieces: the header, then the
     records in blocks of FVEC_BLOCK_ROWS rows."""
-    header = [FVEC_MAGIC, struct.pack("<HII", FVEC_VERSION, ds.dim, len(ds.labels))]
+    header = [FVEC_MAGIC, np.array((FVEC_VERSION, ds.dim, len(ds.labels)), _FVEC_HEADER).tobytes()]
     for label in ds.labels:
         raw = label.encode("utf-8")
         if len(raw) > 0xFFFF:
             raise ValueError(f"label too long for fvec format: {label[:32]}...")
-        header += [struct.pack("<H", len(raw)), raw]
-    header.append(struct.pack("<Q", len(ds)))
+        header += [np.array(len(raw), "<u2").tobytes(), raw]
+    header.append(np.array(len(ds), "<u8").tobytes())
     yield b"".join(header)
     for lo in range(0, len(ds), FVEC_BLOCK_ROWS):
         hi = min(lo + FVEC_BLOCK_ROWS, len(ds))
@@ -216,24 +253,20 @@ def from_fvec_bytes(data: bytes) -> Dataset:
     """Parse the fvec wire format, reporting the byte offset of any defect."""
     if data[:4] != FVEC_MAGIC:
         raise DatasetFormatError("not an fvec file: bad magic at offset 0")
-    offset = 4
-    try:
-        version, dim, label_count = struct.unpack_from("<HII", data, offset)
-        offset = 14
-        if version != FVEC_VERSION:
-            raise DatasetFormatError(f"unsupported fvec version {version}")
-        labels = []
-        for _ in range(label_count):
-            (length,) = struct.unpack_from("<H", data, offset)
-            offset += 2
-            labels.append(data[offset : offset + length].decode("utf-8"))
-            offset += length
-        (count,) = struct.unpack_from("<Q", data, offset)
-        offset += 8
-    except struct.error as exc:
-        raise DatasetFormatError(f"truncated fvec header near offset {offset}") from exc
-    except UnicodeDecodeError as exc:
-        raise DatasetFormatError(f"label at offset {offset} is not valid UTF-8") from exc
+    reader = _Reader(data, 4, lambda at: DatasetFormatError(f"truncated fvec header near offset {at}"))
+    version, dim, label_count = reader.take(1, _FVEC_HEADER)[0].tolist()
+    if version != FVEC_VERSION:
+        raise DatasetFormatError(f"unsupported fvec version {version}")
+    labels = []
+    for _ in range(label_count):
+        length = int(reader.take(1, "<u2")[0])
+        at = reader.offset
+        try:  # u1, not an S dtype, which drops trailing NUL bytes
+            labels.append(reader.take(length, "u1").tobytes().decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise DatasetFormatError(f"label at offset {at} is not valid UTF-8") from exc
+    count = int(reader.take(1, "<u8")[0])
+    offset = reader.offset
 
     if dim == 0:
         raise DatasetFormatError("fvec header declares dim=0")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .binary_lsh import FAMILIES
 from .dataset import Dataset, child_rng
-from .distances import check_k, check_metric, distances_to, rank_top_k
+from .distances import as_integer, check_k, check_metric, distances_to, rank_top_k
 from .exact import QueryStats, knn_exact
 from .real_lsh import DEFAULT_WIDTH, LshIndex, RealLshIndex
 from .tables import distinct, label_majorities
@@ -171,6 +171,7 @@ def select_queries(
     """
     if not 0.0 < holdout_fraction <= 1.0:
         raise ValueError(f"holdout_fraction must be in (0, 1], got {holdout_fraction}")
+    queries_per_class = as_integer(queries_per_class, "queries_per_class must be an integer")
     if queries_per_class < 1:
         raise ValueError("queries_per_class must be >= 1")
     rng = child_rng(seed, STREAM_HOLDOUT)
@@ -354,7 +355,7 @@ def evaluate_grid(
         raise ValueError("held_out_queries must be non-empty")
     check_k(k)
     check_metric(metric)
-    if not L_values or not K_values:
+    if len(L_values) == 0 or len(K_values) == 0:
         raise ValueError("L_values and K_values must be non-empty")
     grid = [(L, K) for L in L_values for K in K_values]
     for L, K in grid:

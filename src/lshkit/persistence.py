@@ -8,34 +8,41 @@ hyperplanes), then the bucket tables as written by :mod:`lshkit.tables`:
 their key width and row count, then per table its sorted keys, CSR offsets
 and member rows as flat arrays.
 
-Coefficients are stored in f32 and the in-memory index already computes from
-f32 coefficients, so a loaded index hashes bit-identically to the original.
+The header is two structured dtypes, and the file is read through the
+bounds-checked ``dataset._Reader`` that also reads fvec files. Coefficients
+are stored in f32 and the in-memory index already computes from f32
+coefficients, so a loaded index hashes bit-identically to the original.
 A snapshot only loads against a dataset whose fvec serialization hashes to
-the stored fingerprint, and every defect is reported at load time: the
-loader checks the parameters, the coefficients and that each table holds
-every dataset row exactly once. Version 1 files (one record per bucket) are
-no longer read.
+the stored fingerprint. The loader checks, at load time, the magic and
+version, the parameters, that the coefficients are finite and cannot
+overflow a dataset key, that each table is well formed (key width, strictly
+increasing keys, offsets from 0 to n, every dataset row exactly once,
+ascending within a bucket), that no bytes trail the tables, and last, once
+the file has supplied every coefficient, that they equal the draw of the
+stored parameters. It does not rehash the table keys against the
+coefficients, which would cost a full build. Version 1 files (one record per
+bucket) are no longer read.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import struct
 import tempfile
 
 import numpy as np
 
 from .binary_lsh import FAMILIES
-from .dataset import Dataset, fvec_chunks
+from .dataset import Dataset, _Reader, fvec_chunks
 from .real_lsh import LshIndex, RealLshIndex
 from .tables import TableFormatError, decode, encode
 
 SNAPSHOT_MAGIC = b"LSHIDX"
 SNAPSHOT_VERSION = 2
 
-_PREFIX = struct.Struct("<6sHB")  # magic, version, kind
-_PARAMS = struct.Struct("<IIdqIQ")  # L, K, w, seed, dim, fingerprint
+_PREFIX = np.dtype([("magic", "S6"), ("version", "<u2"), ("kind", "u1")])
+_PARAMS = np.dtype([("L", "<u4"), ("K", "<u4"), ("w", "<f8"), ("seed", "<i8"),
+                    ("dim", "<u4"), ("fingerprint", "<u8")])
 
 
 class SnapshotError(ValueError):
@@ -70,39 +77,17 @@ def save_index(index: LshIndex, path: str | os.PathLike) -> None:
 def _serialize(index) -> bytes:
     p = index.params
     chunks = [
-        _PREFIX.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, list(FAMILIES).index(index.kind)),
-        _PARAMS.pack(p.L, p.K, getattr(p, "w", 0.0), p.seed, index.dim,
-                     dataset_fingerprint(index.dataset)),
+        np.array((SNAPSHOT_MAGIC, SNAPSHOT_VERSION, list(FAMILIES).index(index.kind)), _PREFIX).tobytes(),
+        np.array((p.L, p.K, getattr(p, "w", 0.0), p.seed, index.dim,
+                  dataset_fingerprint(index.dataset)), _PARAMS).tobytes(),
     ]
     chunks += [values.astype("<f4").tobytes() for values in index.coefficients]
     chunks.append(encode(index.bucket_tables))
     return b"".join(chunks)
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.offset = 0
-
-    def take(self, layout: struct.Struct) -> tuple:
-        try:
-            values = layout.unpack_from(self.data, self.offset)
-        except struct.error as exc:
-            raise SnapshotError(f"truncated snapshot at offset {self.offset}") from exc
-        self.offset += layout.size
-        return values
-
-    def take_array(self, count: int, dtype) -> np.ndarray:
-        nbytes = count * np.dtype(dtype).itemsize
-        if nbytes > len(self.data) - self.offset:
-            raise SnapshotError(f"truncated snapshot at offset {self.offset}")
-        array = np.frombuffer(self.data, dtype=dtype, count=count, offset=self.offset)
-        self.offset += nbytes
-        return array
-
-
 def _coefficients(reader: _Reader, count: int) -> np.ndarray:
-    values = reader.take_array(count, "<f4")
+    values = reader.take(count, "<f4")
     if not np.isfinite(values).all():
         raise SnapshotError("snapshot holds non-finite hash coefficients")
     return values
@@ -112,21 +97,22 @@ def load_index(path: str | os.PathLike, ds: Dataset) -> LshIndex:
     """Load a snapshot and bind it to its dataset.
 
     Raises SnapshotError on a bad magic, an unsupported version, truncation,
-    invalid parameters or coefficients, an invalid table, or a dataset whose
-    fingerprint does not match the one stored at save time.
+    invalid parameters, coefficients that are not finite, could overflow a
+    key or differ from the parameters' draw, an invalid table, or a dataset
+    whose fingerprint does not match the one stored at save time.
     """
     with open(path, "rb") as fh:
-        reader = _Reader(fh.read())
+        reader = _Reader(fh.read(), 0, lambda at: SnapshotError(f"truncated snapshot at offset {at}"))
     if reader.data[:6] != SNAPSHOT_MAGIC:
         raise SnapshotError("not an index snapshot: bad magic")
-    _, version, kind_code = reader.take(_PREFIX)
+    _, version, kind_code = reader.take(1, _PREFIX)[0].tolist()
     if version != SNAPSHOT_VERSION:
         raise SnapshotError(f"unsupported snapshot version {version}")
     if kind_code >= len(FAMILIES):
         raise SnapshotError(f"unknown index kind code {kind_code}")
     family = list(FAMILIES.values())[kind_code]
     real = family is RealLshIndex
-    L, K, w, seed, dim, fingerprint = reader.take(_PARAMS)
+    L, K, w, seed, dim, fingerprint = reader.take(1, _PARAMS)[0].tolist()
     try:
         params = family.make_params(L, K, w, seed)
     except ValueError as exc:
@@ -149,10 +135,16 @@ def load_index(path: str | os.PathLike, ds: Dataset) -> LshIndex:
         if not (reach + np.abs(offsets) < w * 2.0**62).all():
             raise SnapshotError("hash coefficients too large: dataset keys would overflow int64")
     try:
-        tables = decode(reader.take_array, L, K if real else 1, len(ds), "<i8" if real else "<u8")
+        tables = decode(reader.take, L, K if real else 1, len(ds), "<i8" if real else "<u8")
     except TableFormatError as exc:
         raise SnapshotError(f"invalid bucket table: {exc}") from None
     if reader.offset != len(reader.data):
         raise SnapshotError(f"{len(reader.data) - reader.offset} trailing bytes after tables")
-    coefficients = (planes, offsets) if real else (planes,)
-    return family(params, dim, *coefficients, tables, ds)
+    # drawn last, once the file has supplied all L*K*dim floats, so a
+    # damaged header's L and K cannot make the draw outgrow the file
+    index = family.with_coefficients(ds, params)
+    stored = (planes, offsets) if real else (planes,)
+    if not all(np.array_equal(a, b) for a, b in zip(stored, index.coefficients)):
+        raise SnapshotError("hash coefficients differ from the draw of the stored parameters")
+    index.bucket_tables = tables
+    return index

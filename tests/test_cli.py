@@ -209,6 +209,12 @@ def test_missing_index_params_exits_nonzero(dataset_file, capsys):
     assert "required" in capsys.readouterr().err
 
 
+def test_stats_without_snapshot_or_index_exits_nonzero(dataset_file, capsys):
+    rc = main(["stats", "--input", str(dataset_file)])
+    assert rc == 1
+    assert "either --snapshot or --index with --L/--K/--seed is required" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

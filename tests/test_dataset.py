@@ -136,6 +136,20 @@ def test_fvec_invalid_utf8_label_is_format_error():
         from_fvec_bytes(bytes(blob))
 
 
+@pytest.mark.parametrize("cut", [16, 17])
+def test_fvec_label_cut_short_names_its_first_byte(cut):
+    """A label that runs past the end is a truncation at the label's start,
+    not a short label followed by a truncation past the end of the file."""
+    blob = to_fvec_bytes(random_dataset())  # first label "c0" at bytes 16-17
+    with pytest.raises(DatasetFormatError, match="truncated fvec header near offset 16$"):
+        from_fvec_bytes(blob[:cut])
+
+
+def test_fvec_label_keeps_trailing_nul_bytes():
+    ds = Dataset(1, ["a\x00", "a"], np.arange(2), np.arange(2), np.zeros((2, 1)))
+    assert from_fvec_bytes(to_fvec_bytes(ds)).labels == ("a\x00", "a")
+
+
 def test_csv_invalid_utf8_label_is_format_error(tmp_path):
     path = tmp_path / "d.csv"
     path.write_bytes(b"id,label,dim=1\n0,c\xffat,1.0\n")
@@ -305,6 +319,35 @@ def test_non_integral_ids_are_rejected_not_truncated(bad):
         ds.get(bad)
     with pytest.raises(TypeError, match="vector ids must be integers"):
         ds.rows_of(np.array([1, bad], dtype=object))
+
+
+@pytest.mark.parametrize(
+    "ids, label_ids, bad",
+    [
+        ([0.5, 1.7], [0, 0], "vector ids must be whole numbers, got 0.5"),
+        (["0", "1"], [0, 0], "vector ids must be whole numbers, got '0'"),
+        ([0, float("nan")], [0, 0], "vector ids must be whole numbers, got nan"),
+        ([0, 1e20], [0, 0], "vector ids must be whole numbers, got 1e\\+20"),
+        (np.array([0, None]), [0, 0], "vector ids must be whole numbers, got None"),
+        ([0, 1], [0.9, 0.2], "label ids must be whole numbers, got 0.9"),
+        ([0, 1], np.array([0, np.inf]), "label ids must be whole numbers, got inf"),
+    ],
+)
+def test_dataset_refuses_ids_that_are_not_whole_numbers(ids, label_ids, bad):
+    with pytest.raises(TypeError, match=bad):
+        Dataset(2, ["a"], ids, label_ids, np.zeros((2, 2)))
+
+
+def test_dataset_accepts_whole_number_arrays_of_any_type():
+    ds = Dataset(2, ["a", "b"], np.array([4.0, 2.0]), np.array([1.0, 0.0]), np.zeros((2, 2)))
+    assert ds.ids.tolist() == [4, 2] and ds.label_ids.tolist() == [1, 0]
+    assert ds.ids.dtype == ds.label_ids.dtype == np.int64
+    ds = Dataset(2, ["a"], np.array([3, 1], dtype=object), np.array([False, False]), np.zeros((2, 2)))
+    assert ds.ids.tolist() == [3, 1] and ds.label_ids.tolist() == [0, 0]
+    for empty in ([], np.zeros(0), np.array([], dtype=np.uint8)):
+        assert len(Dataset(2, ["a"], empty, empty, np.zeros((0, 2)))) == 0
+    with pytest.raises(OverflowError):
+        Dataset(2, ["a"], [0, 2**70], [0, 0], np.zeros((2, 2)))
 
 
 def test_rows_of_accepts_integer_like_ids_and_nothing():

@@ -340,6 +340,14 @@ def test_select_queries_rejects_tiny_class():
         select_queries(ds, seed=0)
 
 
+@pytest.mark.parametrize("count", [2.5, "2", None])
+def test_select_queries_refuses_a_count_that_is_not_an_integer(count):
+    ds = generate_synthetic(2, 20, 4, 0.3, seed=11)
+    with pytest.raises(TypeError, match="queries_per_class must be an integer"):
+        select_queries(ds, seed=1, queries_per_class=count)
+    assert select_queries(ds, seed=1, queries_per_class=np.int64(2)) == select_queries(ds, 1, 0.25, 2)
+
+
 # ---------------------------------------------------------------------------
 # parameter sweep
 # ---------------------------------------------------------------------------
@@ -376,6 +384,27 @@ def test_sweep_empty_grid_raises():
     ds = generate_synthetic(3, 6, 8, 0.3, seed=16)
     with pytest.raises(ValueError):
         parameter_sweep(ds, [], [1], "real", seed=1)
+
+
+def test_sweep_refuses_the_exact_baseline():
+    ds = generate_synthetic(3, 6, 8, 0.3, seed=16)
+    with pytest.raises(ValueError, match="parameter_sweep needs an index kind"):
+        parameter_sweep(ds, [1], [1], "none", seed=1)
+
+
+@pytest.mark.parametrize("kind", ["real", "binary"])
+def test_array_grids_equal_list_grids(kind):
+    ds = generate_synthetic(4, 6, 8, 0.2, seed=12)
+    queries = select_queries(ds, seed=4)
+    listed = parameter_sweep(ds, [1, 2], [1, 3], kind, queries, seed=5)
+    assert parameter_sweep(ds, np.array([1, 2]), np.array([1, 3]), kind, queries, seed=5) == listed
+    assert evaluation.evaluate_grid(ds, queries, kind, np.array([2]), np.array([3]), seed=5) == (
+        evaluation.evaluate_grid(ds, queries, kind, [2], [3], seed=5)
+    )
+    empty = np.array([], dtype=np.int64)
+    for L_values, K_values in ((empty, [1]), ([1], empty)):
+        with pytest.raises(ValueError, match="L_values and K_values must be non-empty"):
+            parameter_sweep(ds, L_values, K_values, kind, queries)
 
 
 def test_best_tradeoff_recomputed_from_emitted_csv():
@@ -556,6 +585,15 @@ def test_contamination_well_separated_sources():
     assert distractor_contamination(merged, k=5) == 0.0
     index = build_real_index(merged, RealLshParams(L=4, K=2, seed=31))
     assert distractor_contamination(index, k=5) <= 0.05
+
+
+def test_contamination_refuses_a_merge_without_source_a_vectors():
+    empty = Dataset(8, [], np.array([], dtype=np.int64), np.array([], dtype=np.int64),
+                    np.zeros((0, 8), dtype=np.float32))
+    merged = merge_datasets(empty, generate_synthetic(2, 4, 8, 0.1, seed=30))
+    for backend in (merged, build_real_index(merged, RealLshParams(L=2, K=1, seed=3))):
+        with pytest.raises(ValueError, match="no queries: the merged dataset has no source-a vectors"):
+            distractor_contamination(backend, k=3)
 
 
 def test_contamination_requires_source_flags():

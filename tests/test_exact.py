@@ -79,6 +79,18 @@ def test_cosine_zero_vector_rule():
     assert dists2.tolist() == [1.0]
 
 
+def test_zero_cosine_query_is_at_distance_one_from_every_row():
+    """Past the prefilter's row threshold too: every row scores 1.0, and the
+    ties break by ascending id."""
+    n = 2 * PREFILTER_MIN_ROWS
+    rng = np.random.default_rng(4)
+    ds = Dataset(5, ["a"], rng.permutation(n) + 10, np.zeros(n, dtype=np.int64),
+                 rng.standard_normal((n, 5)).astype(np.float32))
+    results, stats = knn_exact(ds, np.zeros(5), k=4, metric="cosine")
+    assert results == [(10, 1.0), (11, 1.0), (12, 1.0), (13, 1.0)]
+    assert stats.distance_computations == n
+
+
 def test_tie_break_by_ascending_id():
     # two identical vectors tie at the same distance from any query
     vals = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], dtype=np.float32)
@@ -385,4 +397,16 @@ def test_rejects_query_that_is_not_one_vector(shape):
     with pytest.raises(ValueError, match="length 33"):
         knn_exact(ds, q, k=1)
     with pytest.raises(ValueError, match="length 33"):
+        index.query(q, k=1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_query(bad):
+    ds = make_dataset(40, 4, seed=7)
+    index = BinaryLshIndex.build(ds, BinaryLshParams(L=2, K=3, seed=1))
+    q = np.ones(4, dtype=np.float32)
+    q[2] = bad
+    with pytest.raises(ValueError, match="query contains non-finite values"):
+        knn_exact(ds, q, k=1)
+    with pytest.raises(ValueError, match="query contains non-finite values"):
         index.query(q, k=1)

@@ -7,6 +7,7 @@ import pytest
 from lshkit import (
     BinaryLshParams,
     Dataset,
+    RealLshIndex,
     RealLshParams,
     SnapshotError,
     build_binary_index,
@@ -309,6 +310,35 @@ def test_version_1_rejected(tmp_path):
     save_index(real, path)
     patched(path, 6, "<H", 1)
     with pytest.raises(SnapshotError, match="unsupported snapshot version 1"):
+        load_index(path, ds)
+
+
+@pytest.mark.parametrize("kind", ["real", "binary"])
+def test_coefficient_off_by_one_ulp_rejected(tmp_path, kind):
+    """Each stored coefficient must be the one its parameters draw; flipping
+    the lowest mantissa bit of any one of them is caught at load time."""
+    ds, real, binary = make_indexes()
+    index = real if kind == "real" else binary
+    path = tmp_path / "idx"
+    save_index(index, path)
+    blob = path.read_bytes()
+    for at in range(HEADER_BYTES, table_section(index), 4):
+        flipped = bytearray(blob)
+        flipped[at] ^= 0x01
+        path.write_bytes(bytes(flipped))
+        with pytest.raises(SnapshotError, match="hash coefficients differ from the draw of the stored parameters"):
+            load_index(path, ds)
+
+
+def test_header_claiming_more_coefficients_than_stored_fails_before_the_draw(tmp_path, monkeypatch):
+    """The draw that checks the coefficients runs only once the file has
+    supplied them, so a damaged L cannot make it outgrow the file."""
+    ds, real, _ = make_indexes()
+    path = tmp_path / "r.idx"
+    save_index(real, path)
+    patched(path, 9, "<I", 10**6)  # L
+    monkeypatch.setattr(RealLshIndex, "with_coefficients", None)
+    with pytest.raises(SnapshotError, match=f"truncated snapshot at offset {HEADER_BYTES}$"):
         load_index(path, ds)
 
 
