@@ -13,6 +13,7 @@ supported:
 from __future__ import annotations
 
 import csv
+import hashlib
 import os
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -44,10 +45,12 @@ def child_rng(seed: int, *key: int) -> np.random.Generator:
 def _whole_numbers(values, what: str) -> np.ndarray:
     """``values`` as int64: integers, or floats that are whole numbers within
     int64 (``np.zeros(n)``); TypeError naming the first other value (0.5,
-    NaN, "1")."""
+    NaN, "1"), ValueError naming the first unsigned value of 2**63 or more."""
     arr = np.asarray(values)
     if arr.dtype.kind == "O":  # Python ints beyond int64 raise OverflowError
         return np.array([as_integer(v, f"{what} must be whole numbers") for v in arr.flat], dtype=np.int64)
+    if arr.dtype == np.uint64 and arr.size and arr.max() >= 2**63:
+        raise ValueError(f"{what} must be below 2**63, got {arr[arr >= 2**63].flat[0]}")
     if arr.dtype.kind == "f":
         whole = (np.floor(arr) == arr) & (np.abs(arr) < 2.0**63)
     else:
@@ -55,6 +58,15 @@ def _whole_numbers(values, what: str) -> np.ndarray:
     if not whole.all():
         raise TypeError(f"{what} must be whole numbers, got {arr[~whole].flat[0].item()!r}")
     return np.ascontiguousarray(arr, dtype=np.int64)
+
+
+def _locked(arr: np.ndarray) -> np.ndarray:
+    """``arr`` made read-only, copied first unless it owns its memory (a view,
+    an ``np.memmap`` or a ``frombuffer`` array does not)."""
+    if arr.base is not None:
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
 
 
 class DatasetFormatError(ValueError):
@@ -78,10 +90,14 @@ class Dataset:
     and contain only finite values. ``sources`` is an optional per-vector
     membership flag (0/1) attached by :func:`merge_datasets`.
 
-    Two read-only float64 caches are filled on first use, never at load:
-    ``values64`` (the vectors, 8 B per coordinate) and ``norms`` (one L2 norm
-    per row, 8 B per row, 0.8 MB at 100k rows) that the exact scan and LSH
-    queries use to skip rows that cannot reach the top k.
+    Three caches are filled on first use, never at load: ``values64`` (the
+    vectors in float64), ``norms`` (one float64 L2 norm per row, with which
+    the exact scan and LSH queries skip rows that cannot reach the top k) and
+    ``fingerprint`` (the int snapshots are checked against). They hold because
+    the dataset owns or locks every array it keeps: an input that does not
+    own its memory is copied, one that does is kept and made read-only.
+    ``setflags(write=True)`` on an array handed over, or a write through an
+    older view of it, voids all three caches.
     """
 
     def __init__(
@@ -99,9 +115,9 @@ class Dataset:
         if len(set(labels)) != len(labels):
             raise ValueError("label table contains duplicates")
 
-        ids = _whole_numbers(ids, "vector ids")
-        label_ids = _whole_numbers(label_ids, "label ids")
-        vectors = np.ascontiguousarray(vectors, dtype=np.float32).reshape(-1, dim)
+        ids = _locked(_whole_numbers(ids, "vector ids"))
+        label_ids = _locked(_whole_numbers(label_ids, "label ids"))
+        vectors = _locked(np.ascontiguousarray(vectors, dtype=np.float32)).reshape(-1, dim)
         n = len(ids)
         if label_ids.shape != (n,) or vectors.shape != (n, dim):
             raise ValueError("ids, label_ids and vectors disagree on length")
@@ -117,7 +133,7 @@ class Dataset:
         if not np.isfinite(vectors).all():
             raise ValueError("vectors contain non-finite values")
         if sources is not None:
-            sources = np.ascontiguousarray(sources, dtype=np.uint8)
+            sources = _locked(np.ascontiguousarray(sources, dtype=np.uint8))
             if sources.shape != (n,):
                 raise ValueError("sources must have one flag per vector")
 
@@ -127,13 +143,12 @@ class Dataset:
         self.label_ids = label_ids
         self.vectors = vectors
         self.sources = sources
-        for arr in (ids, label_ids, vectors) + ((sources,) if sources is not None else ()):
-            arr.setflags(write=False)
         # id -> row lookup: binary search over the sorted ids
         self._id_order = id_order
         self._sorted_ids = sorted_ids
         self._values64: np.ndarray | None = None
         self._norms: np.ndarray | None = None
+        self._fingerprint: int | None = None
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -190,6 +205,17 @@ class Dataset:
             self._norms.setflags(write=False)
         return self._norms
 
+    @property
+    def fingerprint(self) -> int:
+        """64-bit BLAKE2b hash of the fvec bytes, fed in blocks so they are
+        never built whole; computed on first use and cached."""
+        if self._fingerprint is None:
+            digest = hashlib.blake2b(digest_size=8)
+            for chunk in fvec_chunks(self):
+                digest.update(chunk)
+            self._fingerprint = int.from_bytes(digest.digest(), "little")
+        return self._fingerprint
+
 
 # ---------------------------------------------------------------------------
 # fvec binary format
@@ -214,14 +240,21 @@ class _Reader:
         self.offset = offset
         self._truncated = truncated
 
+    def _advance(self, nbytes: int) -> int:
+        start = self.offset
+        if nbytes > len(self.data) - start:
+            raise self._truncated(start)
+        self.offset += nbytes
+        return start
+
     def take(self, count: int, dtype) -> np.ndarray:
         """The next ``count`` items of ``dtype``, a read-only view of the data."""
-        nbytes = count * np.dtype(dtype).itemsize
-        if nbytes > len(self.data) - self.offset:
-            raise self._truncated(self.offset)
-        array = np.frombuffer(self.data, dtype=dtype, count=count, offset=self.offset)
-        self.offset += nbytes
-        return array
+        return np.frombuffer(self.data, dtype, count, self._advance(count * np.dtype(dtype).itemsize))
+
+    def take_bytes(self, count: int) -> bytes:
+        """The next ``count`` bytes, sliced out of the data."""
+        start = self._advance(count)
+        return self.data[start:self.offset]
 
 
 def fvec_chunks(ds: Dataset) -> Iterator[bytes]:
@@ -259,10 +292,10 @@ def from_fvec_bytes(data: bytes) -> Dataset:
         raise DatasetFormatError(f"unsupported fvec version {version}")
     labels = []
     for _ in range(label_count):
-        length = int(reader.take(1, "<u2")[0])
+        length = int.from_bytes(reader.take_bytes(2), "little")
         at = reader.offset
-        try:  # u1, not an S dtype, which drops trailing NUL bytes
-            labels.append(reader.take(length, "u1").tobytes().decode("utf-8"))
+        try:
+            labels.append(reader.take_bytes(length).decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise DatasetFormatError(f"label at offset {at} is not valid UTF-8") from exc
     count = int(reader.take(1, "<u8")[0])
@@ -281,10 +314,8 @@ def from_fvec_bytes(data: bytes) -> Dataset:
             f"fvec body has {len(body)} bytes at offset {offset}, expected {expected}"
         )
     records = np.frombuffer(body, dtype=dtype)
-    ids = records["id"].astype(np.int64)
-    label_ids = records["label_id"].astype(np.int64)
-    vectors = records["values"].astype(np.float32)
-    return _checked_dataset(dim, labels, ids, label_ids, vectors)
+    # Dataset copies each strided field once, checking the u64 ids first
+    return _checked_dataset(dim, labels, records["id"], records["label_id"], records["values"])
 
 
 def _checked_dataset(dim, labels, ids, label_ids, vectors) -> Dataset:
@@ -359,7 +390,7 @@ def _read_csv(fh) -> Dataset:
         label_ids.append(label_index[label])
         values.append(vals)
 
-    vectors = np.array(values, dtype=np.float32).reshape(len(ids), dim)
+    vectors = np.array(values, dtype=np.float32)  # not reshaped: Dataset would copy the view
     return _checked_dataset(dim, labels, ids, label_ids, vectors)
 
 

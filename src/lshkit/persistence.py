@@ -13,27 +13,26 @@ bounds-checked ``dataset._Reader`` that also reads fvec files. Coefficients
 are stored in f32 and the in-memory index already computes from f32
 coefficients, so a loaded index hashes bit-identically to the original.
 A snapshot only loads against a dataset whose fvec serialization hashes to
-the stored fingerprint. The loader checks, at load time, the magic and
-version, the parameters, that the coefficients are finite and cannot
-overflow a dataset key, that each table is well formed (key width, strictly
-increasing keys, offsets from 0 to n, every dataset row exactly once,
-ascending within a bucket), that no bytes trail the tables, and last, once
-the file has supplied every coefficient, that they equal the draw of the
-stored parameters. It does not rehash the table keys against the
-coefficients, which would cost a full build. Version 1 files (one record per
-bucket) are no longer read.
+the stored fingerprint, which each ``Dataset`` computes once and caches. The
+loader checks, at load time, the magic and version, the parameters, that the
+coefficients are finite and cannot overflow a dataset key, that each table is
+well formed (key width, strictly increasing keys, offsets from 0 to n, every
+dataset row exactly once, ascending within a bucket), that no bytes trail the
+tables, and last, once the file has supplied every coefficient, that they
+equal the draw of the stored parameters. It does not rehash the table keys
+against the coefficients, which would cost a full build. Version 1 files (one
+record per bucket) are no longer read.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import tempfile
 
 import numpy as np
 
 from .binary_lsh import FAMILIES
-from .dataset import Dataset, _Reader, fvec_chunks
+from .dataset import Dataset, _Reader
 from .real_lsh import LshIndex, RealLshIndex
 from .tables import TableFormatError, decode, encode
 
@@ -50,12 +49,9 @@ class SnapshotError(ValueError):
 
 
 def dataset_fingerprint(ds: Dataset) -> int:
-    """64-bit stable hash of the dataset's fvec serialization, fed to the
-    hash block by block so the whole byte string is never built."""
-    digest = hashlib.blake2b(digest_size=8)
-    for chunk in fvec_chunks(ds):
-        digest.update(chunk)
-    return int.from_bytes(digest.digest(), "little")
+    """64-bit stable hash of the dataset's fvec serialization: the cached
+    ``Dataset.fingerprint``."""
+    return ds.fingerprint
 
 
 def save_index(index: LshIndex, path: str | os.PathLike) -> None:

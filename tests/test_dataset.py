@@ -7,6 +7,7 @@ from lshkit import (
     Dataset,
     DatasetFormatError,
     generate_synthetic,
+    knn_exact,
     load_dataset,
     merge_datasets,
     save_dataset,
@@ -358,3 +359,48 @@ def test_rows_of_accepts_integer_like_ids_and_nothing():
     for missing in ([1, 2**70], [-(2**70)], np.array([2**64 - 2], dtype=np.uint64)):
         with pytest.raises(KeyError, match=f"no vector with id {missing[-1]}"):
             ds.rows_of(missing)
+
+
+def test_dataset_locks_the_arrays_it_is_given():
+    ids, label_ids = np.arange(4), np.array([0, 1, 0, 1])
+    vectors, sources = np.ones((4, 3), dtype=np.float32), np.array([0, 0, 1, 1], dtype=np.uint8)
+    ds = Dataset(3, ["a", "b"], ids, label_ids, vectors, sources=sources)
+    for arr in (ids, label_ids, vectors, sources):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 7
+    assert ds.vectors.base is vectors  # an array that owns its memory is kept, not copied
+
+
+def test_dataset_copies_views_so_writes_to_their_base_change_nothing():
+    rng = np.random.default_rng(4)
+    big = rng.standard_normal((40, 5)).astype(np.float32)
+    big_ids = np.arange(100, 140)
+    raw = bytearray(np.array([0, 1] * 10, dtype=np.int64).tobytes())
+    label_ids = np.frombuffer(raw, dtype=np.int64)  # writeable, its memory owned by raw
+    ds = Dataset(5, ["a", "b"], big_ids[:20], label_ids, big[:20])
+    reference = Dataset(5, ["a", "b"], big_ids[:20].copy(), label_ids.copy(), big[:20].copy())
+    big[:] = 0.0
+    big_ids[:] = big_ids[::-1]
+    raw[:] = bytes(len(raw))
+    assert big.flags.writeable and big_ids.flags.writeable
+    assert np.array_equal(ds.vectors, reference.vectors)
+    assert ds.ids.tolist() == list(range(100, 120)) and ds.label_ids.tolist() == [0, 1] * 10
+    assert ds.rows_of([119, 100]).tolist() == [19, 0]
+    for metric in ("cosine", "euclidean"):
+        assert knn_exact(ds, reference.vectors[3], 4, metric) == knn_exact(reference, reference.vectors[3], 4, metric)
+    assert ds.fingerprint == reference.fingerprint
+    fresh = hashlib.blake2b(to_fvec_bytes(ds), digest_size=8).digest()
+    assert ds.fingerprint == int.from_bytes(fresh, "little")
+
+
+def test_u64_ids_of_2_63_or_more_are_named():
+    with pytest.raises(ValueError, match=r"vector ids must be below 2\*\*63, got 18446744073709551615$"):
+        Dataset(1, ["a"], np.array([2**64 - 1], dtype=np.uint64), [0], np.zeros((1, 1)))
+    assert Dataset(1, ["a"], np.array([2**63 - 1], dtype=np.uint64), [0], np.zeros((1, 1))).ids[0] == 2**63 - 1
+    blob = bytearray(to_fvec_bytes(random_dataset(n=3)))
+    header = len(to_fvec_bytes(random_dataset(n=0)))
+    record = (len(blob) - header) // 3
+    blob[header + record + 7] |= 0x80  # top byte of row 1's id, 1
+    with pytest.raises(DatasetFormatError, match=f"vector ids must be below 2\\*\\*63, got {2**63 + 1}$"):
+        from_fvec_bytes(bytes(blob))

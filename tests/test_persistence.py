@@ -17,6 +17,7 @@ from lshkit import (
     load_index,
     save_index,
 )
+from lshkit import dataset, persistence
 from lshkit.dataset import FVEC_BLOCK_ROWS, to_fvec_bytes
 from lshkit.tables import BucketTable
 
@@ -401,3 +402,57 @@ def test_make_index_and_load_index_accept_exactly_the_family_kinds(tmp_path):
     patched(path, 8, "<B", len(FAMILIES))
     with pytest.raises(SnapshotError, match=f"unknown index kind code {len(FAMILIES)}"):
         load_index(path, ds)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Dataset(5, [], np.array([], dtype=np.int64), np.array([], dtype=np.int64), np.zeros((0, 5))),
+        lambda: Dataset(3, ["ünïcode", "日本語", "é"], np.array([4, 9, 1]), np.array([2, 0, 1]),
+                        np.arange(9, dtype=np.float32).reshape(3, 3)),
+        lambda: generate_synthetic(5, FVEC_BLOCK_ROWS // 2 + 1, 5, 0.5, seed=3),
+    ],
+    ids=["empty", "non-ascii-labels", "several-blocks"],
+)
+def test_cached_fingerprint_equals_a_fresh_hash(make):
+    ds = make()
+    first = dataset_fingerprint(ds)
+    assert dataset_fingerprint(ds) == ds.fingerprint == first
+    fresh = hashlib.blake2b(to_fvec_bytes(ds), digest_size=8).digest()
+    assert first == int.from_bytes(fresh, "little")
+
+
+def test_repeat_save_and_load_hash_the_dataset_once(tmp_path, monkeypatch):
+    calls = []
+    real_chunks = dataset.fvec_chunks
+
+    def counting(ds):
+        calls.append(ds)
+        return real_chunks(ds)
+
+    monkeypatch.setattr(dataset, "fvec_chunks", counting)
+    monkeypatch.setattr(persistence, "fvec_chunks", counting, raising=False)
+    ds, real, binary = make_indexes()
+    path = tmp_path / "r.idx"
+    save_index(real, path)
+    assert len(calls) == 1
+    save_index(binary, tmp_path / "b.idx")
+    save_index(real, path)
+    assert load_index(path, ds).tables == real.tables
+    assert load_index(tmp_path / "b.idx", ds).tables == binary.tables
+    assert len(calls) == 1
+
+
+def test_cached_fingerprints_still_tell_datasets_apart(tmp_path):
+    ds, real, _ = make_indexes()
+    vectors = ds.vectors.copy()
+    vectors[3, 2] += 1.0
+    other = Dataset(ds.dim, ds.labels, ds.ids.copy(), ds.label_ids.copy(), vectors)
+    twin = Dataset(ds.dim, ds.labels, ds.ids.copy(), ds.label_ids.copy(), ds.vectors.copy())
+    for d in (ds, other, twin):
+        dataset_fingerprint(d)
+    path = tmp_path / "r.idx"
+    save_index(real, path)
+    with pytest.raises(SnapshotError, match="fingerprint"):
+        load_index(path, other)
+    assert load_index(path, twin).tables == real.tables
