@@ -68,7 +68,7 @@ class BinaryLshIndex(LshIndex):
             params.L, params.K, dim
         )
         self.coefficients = (self.hyperplanes,)
-        self._axes64 = self.hyperplanes.astype(np.float64)
+        self._set_axes(self.hyperplanes)
         # most-significant-first bit weights: slot 0 occupies the top bit
         self._weights = np.array([1 << (params.K - 1 - j) for j in range(params.K)], dtype=np.uint64)
 
@@ -77,8 +77,12 @@ class BinaryLshIndex(LshIndex):
         return (rng.standard_normal(dim).astype(np.float32),)
 
     def _quantize(self, proj: np.ndarray, tables: slice) -> np.ndarray:
-        """A key is one word: the K sign bits, packed most-significant-first."""
-        return ((proj >= 0).astype(np.uint64) * self._weights).sum(axis=2, dtype=np.uint64)[..., None]
+        """A key is K sign bits: 1 where v . X >= 0."""
+        return proj >= 0
+
+    def _pack(self, bits: np.ndarray) -> np.ndarray:
+        """The K bits as one word, most-significant-first."""
+        return (bits.astype(np.uint64) @ self._weights)[..., None]
 
     def _key_prefix(self, words: np.ndarray, K: int) -> np.ndarray:
         """A K-bit signature is the top K bits of a longer one."""

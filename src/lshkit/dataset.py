@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .distances import as_integer
+from .distances import as_integer, row_norms
 
 FVEC_MAGIC = b"LSHF"
 FVEC_VERSION = 1
@@ -200,8 +200,7 @@ class Dataset:
         """Float64 L2 norm of every row (8 B per row), computed on first use
         and cached; the distance prefilter's only per-dataset state."""
         if self._norms is None:
-            v = self.values64
-            self._norms = np.sqrt(np.einsum("ij,ij->i", v, v))
+            self._norms = row_norms(self.values64)
             self._norms.setflags(write=False)
         return self._norms
 

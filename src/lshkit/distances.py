@@ -72,6 +72,11 @@ def as_query(q, dim: int) -> np.ndarray:
     return arr
 
 
+def row_norms(values64: np.ndarray) -> np.ndarray:
+    """Float64 L2 norm of each row of a float64 (n, d) matrix."""
+    return np.sqrt(np.einsum("ij,ij->i", values64, values64))
+
+
 def _unit_rows_into(m: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write the L2-normalized float64 rows of m into out (same shape); rows
     without a positive norm come out zero. out may be a reused buffer."""

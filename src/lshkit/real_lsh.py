@@ -4,8 +4,11 @@ Each of the L hash tables keys vectors by a K-tuple of integer hashes
 floor((v . X + b) / w), with X drawn Gaussian(0,1) per coordinate and b
 uniform in [0, w]. Similar vectors land in the same bucket of at least one
 table with high probability; query time only ranks the union of the L
-buckets the query hashes to. The core computes every v . X of both families
-with :func:`project`; a family only quantizes the projections into keys.
+buckets the query hashes to. Every key of both families is a function of
+the v . X that :func:`project` computes; a family only quantizes the
+projections and packs them into key words. A large batch is projected with
+one BLAS product instead, which only decides the keys that a proven margin
+shows equal to ``project``'s (``LshIndex._table_keys``).
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, child_rng
-from .distances import as_integer, as_query, check_k, check_metric, distances_to, prefilter, rank_top_k
+from .distances import (
+    _gamma, as_integer, as_query, check_k, check_metric, distances_to, prefilter, rank_top_k, row_norms,
+)
 from .exact import QueryStats
 from .tables import BucketTable, as_dicts, distinct, gather, prefix_tables
 
@@ -25,6 +30,16 @@ STREAM_REAL = 0
 STREAM_BINARY = 1
 
 DEFAULT_WIDTH = 4.0
+
+# _table_keys projects a batch of at least this many rows with one BLAS
+# product, and a smaller one (a query) with project alone, which is faster
+# there: one row onto 120 axes takes 15 us through project and 22 us through
+# the BLAS path, 64 rows onto 64-120 axes 2.5-3x longer through project
+# (2-vCPU x86-64 VM, one BLAS thread)
+BLAS_HASH_MIN_ROWS = 64
+# rows per block of the margin test: its float64 temporaries stay a few
+# MiB, while the BLAS product itself covers the whole batch
+HASH_BLOCK_ROWS = 8192
 
 
 def check_params(params) -> None:
@@ -65,23 +80,31 @@ class ProjectionFunction:
 
 def project(values64: np.ndarray, axes64: np.ndarray) -> np.ndarray:
     """(n, k) dot products of a float64 (n, d) batch with float64 (k, d) axes."""
-    # einsum (not BLAS) keeps each row's accumulation independent of batch
-    # size, so a vector hashes identically at build and at query time
+    # every key is a function of these values. einsum (not BLAS) keeps each
+    # row's accumulation independent of batch size, so a vector hashes
+    # identically at build and at query time; BLAS only decides the keys
+    # that LshIndex._table_keys proves equal to the ones these give
     return np.einsum("nd,kd->nk", values64, axes64)
 
 
-def _floor_keys(shifted: np.ndarray, w: float) -> np.ndarray:
-    """Integer hashes floor(shifted / w); ValueError when one does not fit int64."""
-    keys = np.floor(shifted / w)
-    if not (keys.min() >= -(2.0**63) and keys.max() < 2.0**63):
+def _int64_keys(levels: np.ndarray, w: float) -> np.ndarray:
+    """Whole-number floor levels as int64; ValueError when one does not fit."""
+    if not (levels.min() >= -(2.0**63) and levels.max() < 2.0**63):
         raise ValueError(f"a projection hash overflows int64: |v . X + b| / w reaches 2**63 (w={w})")
-    return keys.astype(np.int64)
+    return levels.astype(np.int64)
 
 
 def projection_hash(vector, fn: ProjectionFunction, width: float) -> int:
     """floor((vector . X + b) / width), mathematical floor toward -inf."""
     v, axis = (np.asarray(a, dtype=np.float64).reshape(1, -1) for a in (vector, fn.X))
-    return int(_floor_keys(project(v, axis) + fn.b, width)[0, 0])
+    return int(_int64_keys(np.floor((project(v, axis) + fn.b) / width), width)[0, 0])
+
+
+def _hash_margin(d: int) -> float:
+    """c such that M = fl(n_v fl(c n_X)), from the cached norms n_v of v and
+    n_X of X, bounds |BLAS v . X - project's v . X|; derivation in
+    LshIndex._table_keys."""
+    return 2 * _gamma(3 * d + 5)
 
 
 class LshIndex:
@@ -93,8 +116,10 @@ class LshIndex:
     in snapshot order), ``coefficients`` (its coefficient arrays, in the
     order ``_draw`` and its constructor use), ``_axes64`` (its (L, K, d)
     float64 projection axes), ``_quantize`` ((n, L', K) projections onto L'
-    tables' axes -> their (n, L', W) key words), ``_key_prefix`` (the key
-    words of a shorter key) and ``_key_of`` (key words -> the key's Python form)."""
+    tables' axes -> one level per projection, each a nondecreasing function
+    of its projection), ``_pack`` ((n, L', K) levels -> their (n, L', W) key
+    words), ``_key_prefix`` (the key words of a shorter key) and ``_key_of``
+    (key words -> the key's Python form)."""
 
     kind: str
 
@@ -103,6 +128,13 @@ class LshIndex:
         self.dim = dim
         self.bucket_tables = list(tables)
         self.dataset = dataset
+
+    def _set_axes(self, axes: np.ndarray) -> None:
+        """Keep the float64 (L, K, d) projection axes and each axis's margin
+        factor ``_hash_margin(d) |X|`` (``_table_keys``)."""
+        self._axes64 = axes.astype(np.float64)
+        norms = row_norms(self._axes64.reshape(-1, self.dim)).reshape(axes.shape[:2])
+        self._margins = _hash_margin(self.dim) * norms
 
     @classmethod
     def with_coefficients(cls, ds: Dataset, params):
@@ -124,10 +156,60 @@ class LshIndex:
         return index
 
     def _table_keys(self, values64: np.ndarray, tables: slice = slice(None)) -> np.ndarray:
-        """(n, L', W) key words of a float64 batch in the L' tables ``tables`` selects."""
-        axes = self._axes64[tables]
-        proj = project(values64, axes.reshape(-1, self.dim))
-        return self._quantize(proj.reshape(-1, len(axes), self.params.K), tables)
+        """(n, L', W) key words of a float64 batch in the L' tables ``tables``
+        selects: the words of ``project``'s values, bit for bit.
+
+        A batch of BLAS_HASH_MIN_ROWS rows or more is projected with one BLAS
+        product P'. Its levels are only used where a margin M proves them
+        equal to the levels of ``project``'s P; every row with another entry
+        is projected again with ``project``. The levels are decided and
+        packed HASH_BLOCK_ROWS rows at a time.
+
+        **The margin.** u = eps / 2, gamma_n = n u / (1 - n u) (``distances.
+        _gamma``), and gamma_n + u <= gamma_(n+1). Rows and axes hold float32
+        values, so each float64 product or square of two coordinates is
+        exact, and nothing over- or underflows. A sum of d such products in
+        any order (einsum's, BLAS's, with or without FMA) is within
+        gamma_d sum |v_i X_i| <= gamma_d |v| |X| of the exact dot product
+        (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1),
+        so |P' - P| <= 2 gamma_d |v| |X|. A cached norm n_v (``Dataset.
+        norms``, ``row_norms``: such a sum of squares, then a rounded square
+        root) is at least (1 - gamma_(d+1)) |v|, and n_X likewise for |X|.
+        c = ``_hash_margin(d)`` is 2 gamma_(3d+5) within two roundings and
+        M = fl(n_v fl(c n_X)) adds two more, so M >= 2 gamma_(3d+5) (1 - u)^4
+        (1 - gamma_(d+1))^2 |v| |X| >= 2 gamma_(3d+5) (1 - 2 gamma_(d+3))
+        |v| |X|. Since gamma_(3d+5) > 3 gamma_d, and 1 - 2 gamma_(d+3) >= 1/3
+        for any d with (d + 3) u <= 1/4, M >= 2 gamma_d |v| |X| >= |P' - P|:
+        the margin is about three times the bound it has to meet.
+
+        **The decision.** P' - M <= P <= P' + M, P is a float and rounding
+        is monotone, so fl(P' - M) <= P <= fl(P' + M). Each level is a
+        nondecreasing function of its projection (``+ b``, ``/ w`` and floor
+        for real keys, ``>= 0`` for binary bits), so where the levels of
+        fl(P' - M) and fl(P' + M) agree, P has that level too. The overflow
+        check of real keys runs on the decided levels, so it raises exactly
+        when it would on ``project``'s. Which rows are projected again can
+        depend on the BLAS kernel and thread count; the keys cannot.
+        """
+        axes = self._axes64[tables].reshape(-1, self.dim)
+        shape = (-1, len(axes) // self.params.K, self.params.K)
+        if len(values64) < BLAS_HASH_MIN_ROWS:
+            return self._pack(self._quantize(project(values64, axes).reshape(shape), tables))
+        norms = self.dataset.norms if values64 is self.dataset.values64 else row_norms(values64)
+        margins = self._margins[tables].reshape(-1)
+        proj = values64 @ axes.T
+        blocks = []
+        for lo in range(0, len(values64), HASH_BLOCK_ROWS):
+            block = proj[lo : lo + HASH_BLOCK_ROWS]
+            margin = norms[lo : lo + HASH_BLOCK_ROWS, None] * margins
+            levels = self._quantize((block - margin).reshape(shape), tables)
+            undecided = np.flatnonzero(levels != self._quantize((block + margin).reshape(shape), tables))
+            rows = np.unique(undecided // len(axes))
+            if len(rows):
+                exact = project(values64[lo + rows], axes).reshape(shape)
+                levels[rows] = self._quantize(exact, tables)
+            blocks.append(self._pack(levels))
+        return np.concatenate(blocks)
 
     def _prefix_tables(self, words: np.ndarray, Ks) -> dict[int, BucketTable]:
         """For each K in ``Ks``, the table that an index with K slots builds,
@@ -206,7 +288,7 @@ class RealLshIndex(LshIndex):
         self.axes = np.ascontiguousarray(axes, dtype=np.float32).reshape(params.L, params.K, dim)
         self.offsets = np.ascontiguousarray(offsets, dtype=np.float32).reshape(params.L, params.K)
         self.coefficients = (self.axes, self.offsets)
-        self._axes64 = self.axes.astype(np.float64)
+        self._set_axes(self.axes)
         self._offsets64 = self.offsets.astype(np.float64)
 
     @staticmethod
@@ -215,8 +297,12 @@ class RealLshIndex(LshIndex):
         return rng.standard_normal(dim).astype(np.float32), np.float32(rng.uniform(0.0, params.w))
 
     def _quantize(self, proj: np.ndarray, tables: slice) -> np.ndarray:
-        """A key is the K integer hashes floor((v . X + b) / w)."""
-        return _floor_keys(proj + self._offsets64[tables], self.params.w)
+        """A key is the K integer hashes floor((v . X + b) / w), here still
+        float64."""
+        return np.floor((proj + self._offsets64[tables]) / self.params.w)
+
+    def _pack(self, levels: np.ndarray) -> np.ndarray:
+        return _int64_keys(levels, self.params.w)
 
     @staticmethod
     def _key_prefix(words: np.ndarray, K: int) -> np.ndarray:

@@ -6,7 +6,10 @@ distinct keys in sorted order (``words``, (B, W) 8-byte words), CSR
 and ``rows`` (every row once, ascending within a bucket). A real key is K
 integer hashes (W = K), a binary key one K-bit signature (W = 1); a key row
 is compared as one ``np.void`` value of 8*W bytes, so both families share
-one argsort/searchsorted path, keys sorting by their raw bytes. Buckets are
+one argsort/searchsorted path, keys sorting by their raw bytes. To build a
+table of one-word keys, the words are sorted as big-endian ``uint64``
+numbers: that is the raw-byte order, and a numeric stable argsort takes
+12 ms against the void one's 29 ms at 100k rows (numpy 2.4). Buckets are
 listed in order of first appearance, the order in which inserting the rows
 one by one creates them.
 
@@ -42,7 +45,11 @@ class BucketTable:
     @classmethod
     def build(cls, words: np.ndarray) -> "BucketTable":
         """The table of the (n, W) key words of rows 0..n-1."""
-        keys = _as_void(words)
+        if words.shape[1] == 1:
+            # read as big-endian numbers, the words sort in their raw-byte order
+            keys = np.ascontiguousarray(words[:, 0]).view(">u8")
+        else:
+            keys = _as_void(words)
         rows = np.argsort(keys, kind="stable")
         sorted_keys = keys[rows]
         starts = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))

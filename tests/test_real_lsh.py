@@ -13,7 +13,9 @@ from lshkit import (
     generate_synthetic,
     projection_hash,
 )
+from lshkit import real_lsh
 from lshkit.distances import PREFILTER_MIN_ROWS, as_query, distances_to, rank_top_k
+from lshkit.real_lsh import BLAS_HASH_MIN_ROWS, HASH_BLOCK_ROWS, project
 from lshkit.tables import gather
 
 from helpers import oracle_distance
@@ -335,3 +337,125 @@ def test_params_store_integral_values_as_int():
             make(L=0, K=K)
         with pytest.raises(ValueError, match=f"^{message}$"):
             make(L=1, K=K)
+
+
+# ---------------------------------------------------------------------------
+# BLAS hashing: the margin decides only keys equal to project's
+# ---------------------------------------------------------------------------
+
+BOUNDARY_DIM = 16
+
+
+def project_keys(index, values64, tables=slice(None)):
+    """The key words of ``project``'s dot products: what _table_keys returns."""
+    axes = index._axes64[tables].reshape(-1, index.dim)
+    proj = project(values64, axes).reshape(len(values64), -1, index.params.K)
+    return index._pack(index._quantize(proj, tables))
+
+
+def boundary_rows(base, ulp, seed, spots=450):
+    """Rows x with x . 1 = base + t for t in 0, +-ulp and +-ulp/2, each the sum
+    of base, +-big and t in shuffled coordinates, so that the float64 sum
+    depends on its order: einsum's and BLAS's differ on some rows."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(spots):
+        a, b, c, e = rng.choice(BOUNDARY_DIM, size=4, replace=False)
+        for big in (1.0, 16.0):
+            for t in (0.0, ulp, -ulp, ulp / 2, -ulp / 2):
+                x = np.zeros(BOUNDARY_DIM)
+                x[[a, b, c, e]] = big, -big, t, base
+                rows.append(x)
+    return np.array(rows, dtype=np.float32)
+
+
+def boundary_index(kind):
+    """An index over rows at x . 1 = 0 and at 1.25 (plus or minus float64
+    ulps), a zero row and an exact-zero projection row. Table 0's axes are
+    1, -1 and 2 times the ones vector, with real offsets that put
+    x . X + b = 1.25 + 0.25 on a multiple of w = 0.5; table 1's are 1, -1
+    and 0.5 times it with offsets 0, so x . X + b = 0 sits on one; table 2
+    is drawn."""
+    rows = np.vstack([boundary_rows(0.0, 2.0**-60, seed=1), boundary_rows(1.25, 2.0**-52, seed=2),
+                      np.zeros(BOUNDARY_DIM), np.eye(BOUNDARY_DIM)[0] - np.eye(BOUNDARY_DIM)[1]])
+    ds = Dataset(BOUNDARY_DIM, ["a"], np.arange(len(rows)), np.zeros(len(rows), dtype=np.int64), rows)
+    ones = np.ones(BOUNDARY_DIM)
+    drawn = np.random.default_rng(3).standard_normal((3, BOUNDARY_DIM))
+    axes = np.array([[ones, -ones, 2 * ones], [ones, -ones, 0.5 * ones], drawn], dtype=np.float32)
+    if kind == "real":
+        offsets = np.array([[0.25, 0.25, 0.5], [0.0, 0.0, 0.0], [0.1, 0.2, 0.3]], dtype=np.float32)
+        return RealLshIndex(RealLshParams(L=3, K=3, w=0.5), BOUNDARY_DIM, axes, offsets, [], ds)
+    return BinaryLshIndex(BinaryLshParams(L=3, K=3), BOUNDARY_DIM, axes, [], ds)
+
+
+@pytest.mark.parametrize("kind", ["real", "binary"])
+def test_blas_keys_equal_project_keys_near_boundaries(kind):
+    index = boundary_index(kind)
+    values = index.dataset.values64
+    n = len(values)
+    assert n > HASH_BLOCK_ROWS + 1
+    for tables in (slice(None), slice(0, 1), slice(1, 3)):
+        full = index._table_keys(values, tables)
+        expected = project_keys(index, values, tables)
+        assert full.dtype == expected.dtype and np.array_equal(full, expected)
+        for batch in (1, BLAS_HASH_MIN_ROWS - 1, BLAS_HASH_MIN_ROWS, HASH_BLOCK_ROWS, HASH_BLOCK_ROWS + 1, n):
+            for start in (0, n - batch):
+                part = values[start : start + batch]
+                assert np.array_equal(index._table_keys(part, tables), full[start : start + batch]), (tables, batch)
+
+
+def test_blas_keys_on_zero_rows_and_multiples_of_w():
+    real, binary = boundary_index("real"), boundary_index("binary")
+    values = real.dataset.values64
+    zero, exact_zero = len(values) - 2, len(values) - 1
+    real_keys, binary_keys = real._table_keys(values), binary._table_keys(values)
+    # binary: every zero dot product hashes to 1
+    assert binary_keys[zero, :, 0].tolist() == [7, 7, 7]
+    assert binary_keys[exact_zero, :2, 0].tolist() == [7, 7]
+    # real: a zero row hashes to floor(b / w)
+    assert real_keys[zero].tolist() == [[0, 0, 1], [0, 0, 0], [0, 0, 0]]
+    assert real_keys[exact_zero, :2].tolist() == [[0, 0, 1], [0, 0, 0]]
+    # x . 1 = 1.25 exactly and one float64 ulp either side: table 0's
+    # (x . X + 0.25) / 0.5 is 3, or 3 one ulp up or down
+    ulp = 2.0**-52
+    at = np.zeros((3, BOUNDARY_DIM), dtype=np.float32)
+    at[:, 0] = 1.25
+    at[1:, 1] = ulp, -ulp
+    batch = np.vstack([at.astype(np.float64), values[: BLAS_HASH_MIN_ROWS]])
+    keys = real._table_keys(batch)
+    assert np.array_equal(keys, project_keys(real, batch))
+    assert keys[:3, 0].tolist() == [[3, -2, 6], [3, -3, 6], [2, -2, 5]]
+
+
+@pytest.mark.parametrize("kind", ["real", "binary"])
+def test_boundary_keys_need_the_margin(kind, monkeypatch):
+    values = boundary_index(kind).dataset.values64
+    # with no margin the BLAS products decide every key, and on these rows
+    # their rounding differs from project's
+    monkeypatch.setattr(real_lsh, "_hash_margin", lambda d: 0.0)
+    index = boundary_index(kind)
+    assert not np.array_equal(index._table_keys(values), project_keys(index, values))
+
+
+def test_blas_keys_overflow_exactly_when_project_does():
+    """(x . 1) / 2**-40 lands on 2**63, the first value outside int64, or one
+    float64 ulp below or above it: ValueError from _table_keys exactly when
+    project's keys raise it."""
+    rows = boundary_rows(2.0**23, 2.0**-29, seed=4, spots=60)
+    ds = Dataset(BOUNDARY_DIM, ["a"], np.arange(len(rows)), np.zeros(len(rows), dtype=np.int64), rows)
+    axes = np.ones((1, 1, BOUNDARY_DIM), dtype=np.float32)
+    index = RealLshIndex(RealLshParams(L=1, K=1, w=2.0**-40), BOUNDARY_DIM, axes, np.zeros((1, 1)), [], ds)
+    filler = np.zeros((BLAS_HASH_MIN_ROWS, BOUNDARY_DIM))
+    outcomes = set()
+    for row in ds.values64:
+        batch = np.vstack([filler, row])
+        try:
+            expected = project_keys(index, batch)
+        except ValueError:
+            with pytest.raises(ValueError, match="overflows int64"):
+                index._table_keys(batch)
+            outcomes.add("raised")
+        else:
+            assert np.array_equal(index._table_keys(batch), expected)
+            outcomes.add("fits")
+    assert outcomes == {"raised", "fits"}
