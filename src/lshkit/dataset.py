@@ -90,12 +90,14 @@ class Dataset:
     and contain only finite values. ``sources`` is an optional per-vector
     membership flag (0/1) attached by :func:`merge_datasets`.
 
-    Three caches are filled on first use, never at load: ``values64`` (the
-    vectors in float64), ``norms`` (one float64 L2 norm per row, with which
-    the exact scan and LSH queries skip rows that cannot reach the top k) and
-    ``fingerprint`` (the int snapshots are checked against). They hold because
-    the dataset owns or locks every array it keeps: an input that does not
-    own its memory is copied, one that does is kept and made read-only.
+    Distances are scored from the float32 ``vectors``. Three caches are
+    filled on first use, never at load: ``values64`` (the vectors in
+    float64, which only hashing reads), ``norms`` (one float64 L2 norm per
+    row, computed from the float32 rows, with which the exact scan and LSH
+    queries skip rows that cannot reach the top k) and ``fingerprint`` (the
+    int snapshots are checked against). They hold because the dataset owns
+    or locks every array it keeps: an input that does not own its memory is
+    copied, one that does is kept and made read-only.
     ``setflags(write=True)`` on an array handed over, or a write through an
     older view of it, voids all three caches.
     """
@@ -189,7 +191,8 @@ class Dataset:
 
     @property
     def values64(self) -> np.ndarray:
-        """Float64 view of the vectors, cached; used by all distance math."""
+        """Float64 copy of the vectors, cached; only hashing reads it
+        (``LshIndex._table_keys``), distances are scored from ``vectors``."""
         if self._values64 is None:
             self._values64 = self.vectors.astype(np.float64)
             self._values64.setflags(write=False)
@@ -198,9 +201,10 @@ class Dataset:
     @property
     def norms(self) -> np.ndarray:
         """Float64 L2 norm of every row (8 B per row), computed on first use
+        from the float32 rows in blocks (``row_norms``), without ``values64``,
         and cached; the distance prefilter's only per-dataset state."""
         if self._norms is None:
-            self._norms = row_norms(self.values64)
+            self._norms = row_norms(self.vectors)
             self._norms.setflags(write=False)
         return self._norms
 

@@ -381,7 +381,7 @@ def evaluate_grid(
     for i, row in enumerate(rows):
         parts = {K: [members[bounds[i] : bounds[i + 1]] for members, bounds in hits[K]] for K in Ks}
         union = distinct(np.concatenate([p for K in Ks for p in parts[K]]))
-        dists = distances_to(ds.values64[union], ds.vectors[row], metric)
+        dists = distances_to(ds.vectors[union], ds.vectors[row], metric)
         for L, K in cells:
             multiset = np.concatenate(parts[K][:L])
             unique = distinct(multiset)

@@ -36,8 +36,8 @@ def knn_exact(
     """
     k = check_k(k)
     qv = as_query(q, ds.dim)
-    keep = prefilter(ds.values64, ds.norms, qv, k, metric)
-    dists = distances_to(ds.values64[keep], qv, metric)
+    keep = prefilter(ds.vectors, ds.norms, qv, k, metric)
+    dists = distances_to(ds.vectors[keep], qv, metric)
     results = rank_top_k(ds.ids[keep], dists, k)
     n = len(ds)
     return results, QueryStats(distance_computations=n, candidates_examined=n)

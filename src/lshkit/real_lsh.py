@@ -256,7 +256,7 @@ class LshIndex:
         qv = as_query(q, self.dim)
         rows, multiset = self._candidate_rows(qv)
         stats = QueryStats(distance_computations=multiset, candidates_examined=len(rows))
-        values = self.dataset.values64[rows]
+        values = self.dataset.vectors[rows]
         keep = prefilter(values, self.dataset.norms[rows], qv, k, metric)
         dists = distances_to(values[keep], qv, metric)
         return rank_top_k(self.dataset.ids[rows[keep]], dists, k), stats

@@ -14,6 +14,7 @@ from lshkit import (
     select_queries,
 )
 from lshkit.dataset import from_fvec_bytes, to_fvec_bytes
+from lshkit.distances import CHUNK_ROWS, row_norms
 
 from helpers import oracle_member_ap
 
@@ -404,3 +405,14 @@ def test_u64_ids_of_2_63_or_more_are_named():
     blob[header + record + 7] |= 0x80  # top byte of row 1's id, 1
     with pytest.raises(DatasetFormatError, match=f"vector ids must be below 2\\*\\*63, got {2**63 + 1}$"):
         from_fvec_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("n", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 20_000])
+def test_norms_from_float32_blocks_equal_the_whole_float64_norms(n):
+    rng = np.random.default_rng(n)
+    scale = 10.0 ** rng.integers(-40, 35, (n, 1))  # subnormal to near-overflow squares
+    ds = Dataset(128, ["a"], np.arange(n), np.zeros(n, dtype=np.int64),
+                 (scale * rng.standard_normal((n, 128))).astype(np.float32))
+    norms = ds.norms  # before values64 exists
+    assert np.array_equal(norms, row_norms(ds.values64))
+    assert np.array_equal(norms, np.sqrt(np.einsum("ij,ij->i", ds.values64, ds.values64)))

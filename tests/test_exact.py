@@ -389,6 +389,53 @@ def test_near_tie_shell_needs_the_margin(metric, monkeypatch):
     assert [knn_exact(ds, q, k, metric)[0] for k in (1, 5)] != results
 
 
+def tiny_near_ties(n=400, dim=128, seed=22):
+    """Rows and queries near 1e-22, with duplicated rows and one-ulp twins:
+    their float32 products fall below float32's normal range, where gradual
+    underflow errs by more than the relative dot-product bound allows for."""
+    rng = np.random.default_rng(seed)
+    base = (1e-22 * rng.standard_normal((n, dim))).astype(np.float32)
+    twins = base[:20].copy()
+    twins[:, 0] = np.nextafter(twins[:, 0], np.float32(np.inf))
+    rows = np.vstack([base, base[:20], twins])
+    ds = Dataset(dim, ["a"], rng.permutation(len(rows)), np.zeros(len(rows), dtype=np.int64), rows)
+    queries = [*ds.vectors[:5], *(1e-22 * rng.standard_normal((5, dim))).astype(np.float32)]
+    return ds, queries
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_tiny_near_ties_need_the_underflow_margin(metric, monkeypatch):
+    ds, queries = tiny_near_ties()
+    results = [knn_exact(ds, q, k, metric)[0] for q in queries for k in (1, 5)]
+    assert results == [unfiltered(ds.ids, ds.vectors, q, k, metric) for q in queries for k in (1, 5)]
+    # the relative margin alone drops some of the true top k here
+    monkeypatch.setattr(distances, "_underflow_margin", lambda d: 0.0)
+    assert [knn_exact(ds, q, k, metric)[0] for q in queries for k in (1, 5)] != results
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_prefilter_keeps_rows_whose_float32_score_overflows(metric):
+    ds, q = near_tie_dataset(128, seed=5)
+    big = (1e30 * q.astype(np.float64)).astype(np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        overflowed = np.flatnonzero(~np.isfinite(ds.vectors @ big))
+    assert len(overflowed) > 0
+    keep = prefilter(ds.vectors, ds.norms, big, 1, metric)  # warnings are errors here
+    assert set(overflowed) <= set(keep)
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_first_scan_of_a_fresh_dataset_makes_no_float64_copy(metric):
+    ds = make_dataset(20_000, 128, seed=11, classes=10)
+    tracemalloc.start()
+    try:
+        knn_exact(ds, ds.vectors[123], k=11, metric=metric)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < ds.vectors.size  # n d bytes: an eighth of the float64 copy
+
+
 @pytest.mark.parametrize("shape", [(3, 11), (1, 33), (33, 1), ()])
 def test_rejects_query_that_is_not_one_vector(shape):
     ds = make_dataset(40, 33, seed=7)
