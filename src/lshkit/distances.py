@@ -188,9 +188,47 @@ def _underflow_margin(d: int) -> float:
     return d * 2.0**-149
 
 
+def _score_bounds(matrix: np.ndarray, norms: np.ndarray, q: np.ndarray, metric: str):
+    """(A - M, A + M) of every row, the bounds on its kernel distance (S for
+    euclidean) that prefilter derives, with -inf and +inf where A + M is not
+    finite; None for an all-zero cosine query, which the kernel scores 1
+    against every row."""
+    q64 = np.asarray(q, dtype=np.float64)
+    qq = float(q64 @ q64)
+    cosine = check_metric(metric) == "cosine"
+    if cosine and qq == 0.0:
+        return None
+    d, nq = len(q64), np.sqrt(qq)
+    z = _underflow_margin(d)
+    with np.errstate(all="ignore"):  # inf and NaN scores get the widest bounds below
+        dots = matrix @ q
+        if cosine:
+            score = np.divide(dots, norms)  # 0 / 0 on a zero row: NaN, kept
+            score /= nq
+            np.subtract(1.0, score, out=score)
+            margin = np.divide(z / nq, norms)
+            margin += _cosine_margin(d)
+        else:
+            score = np.multiply(dots, -2.0, dtype=np.float64)
+            score += norms * norms + qq
+            margin = np.where(norms > 0, norms, np.inf)  # the norms, until scaled below
+            margin += nq
+            margin *= margin
+            margin *= _euclidean_margin(d)
+            margin += 2 * z
+        upper = score + margin
+        score -= margin
+    wide = ~np.isfinite(upper)
+    upper[wide] = np.inf
+    score[wide] = -np.inf
+    return score, upper
+
+
 def prefilter(matrix: np.ndarray, norms: np.ndarray, q: np.ndarray, k: int, metric: str):
     """The rows of ``matrix`` whose kernel distance to ``q`` can be among the
     k smallest: an ascending row array, or ``slice(None)`` for every row.
+    ``_score_bounds`` gives each row's A - M and A + M, which
+    ``evaluation.evaluate_grid`` also cuts with.
 
     ``matrix`` holds float32 rows (``Dataset.vectors``; float64 rows of
     float32 values work too), ``norms`` their cached float64 norms
@@ -302,36 +340,12 @@ def prefilter(matrix: np.ndarray, norms: np.ndarray, q: np.ndarray, k: int, metr
     n = len(matrix)
     if k >= n or n < PREFILTER_MIN_ROWS:
         return slice(None)
-    q64 = np.asarray(q, dtype=np.float64)
-    qq = float(q64 @ q64)
-    cosine = check_metric(metric) == "cosine"
-    if cosine and qq == 0.0:
+    bounds = _score_bounds(matrix, norms, q, metric)
+    if bounds is None:
         return slice(None)
-    d, nq = len(q64), np.sqrt(qq)
-    z = _underflow_margin(d)
-    with np.errstate(all="ignore"):  # inf and NaN scores are rows kept below
-        dots = matrix @ q
-        if cosine:
-            score = np.divide(dots, norms)  # 0 / 0 on a zero row: NaN, kept
-            score /= nq
-            np.subtract(1.0, score, out=score)
-            margin = np.divide(z / nq, norms)
-            margin += _cosine_margin(d)
-        else:
-            score = np.multiply(dots, -2.0, dtype=np.float64)
-            score += norms * norms + qq
-            margin = np.where(norms > 0, norms, np.inf)  # the norms, until scaled below
-            margin += nq
-            margin *= margin
-            margin *= _euclidean_margin(d)
-            margin += 2 * z
-        upper = score + margin
-        kept = ~np.isfinite(upper)
-        upper[kept] = np.inf
-        upper.partition(k - 1)
-        score -= margin
-        kept |= score <= upper[k - 1]
-    return np.flatnonzero(kept)
+    lower, upper = bounds
+    upper.partition(k - 1)
+    return np.flatnonzero(lower <= upper[k - 1])
 
 
 def rank_top_k(ids: np.ndarray, dists: np.ndarray, k: int) -> list[tuple[int, float]]:

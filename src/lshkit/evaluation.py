@@ -22,7 +22,9 @@ import numpy as np
 
 from .binary_lsh import FAMILIES
 from .dataset import Dataset, child_rng
-from .distances import as_integer, check_k, check_metric, distances_to, rank_top_k
+from .distances import (
+    PREFILTER_MIN_ROWS, _score_bounds, as_integer, check_k, check_metric, distances_to, rank_top_k,
+)
 from .exact import QueryStats, knn_exact
 from .real_lsh import DEFAULT_WIDTH, LshIndex, RealLshIndex
 from .tables import distinct, label_majorities
@@ -343,12 +345,22 @@ def evaluate_grid(
 
     Coefficients at (table t, slot j) depend only on (seed, t, j), so the
     index of cell (L, K) is the first L tables of the (max L, max K) index
-    with its keys cut to K slots. The queries are hashed once; the dataset
-    one table at a time, so memory stays at one (n, max K) block and one
-    table per K. Each (table, K) table keeps its bucket statistics and the
-    queries' buckets, then is dropped. A query's distances are computed once,
-    over every row a cell gives it, and each cell ranks its own candidates;
-    the results are those of building and querying every cell's own index.
+    with its keys cut to K slots. The queries are hashed once, the dataset
+    in groups of L' tables with L' max K <= max(max K, d) axes, so a group's
+    key block and BLAS product are no larger than ``values64``, or than one
+    table's when max K > d (16 tables of 4 slots at d = 128 are one group).
+    Each (table, K) table keeps its bucket statistics and the queries'
+    buckets, then is dropped.
+
+    Each query's candidate union is scored once with prefilter's bounds
+    (``distances._score_bounds``). A cell keeps the rows of its candidates
+    whose A - M is at most the (k + 1)-th smallest A + M among them: by
+    prefilter's proof that keeps every row rank_top_k can return for the
+    cell, since a row's kernel distance does not depend on the rows scored
+    with it. The kernel scores the kept rows of all cells once, each cell
+    ranks its own, and QueryStats count its uncut candidates; as in
+    prefilter, a union below PREFILTER_MIN_ROWS rows is not cut. The
+    results are those of building and querying every cell's own index.
     """
     family = _family(index_kind)
     if len(query_ids) == 0:
@@ -370,23 +382,38 @@ def evaluate_grid(
     qwords = top._table_keys(ds.values64[rows])
     hits: dict[int, list] = {K: [] for K in Ks}
     label_counts: dict[int, list] = {K: [] for K in Ks}
-    for t in range(top.params.L):
-        words = top._table_keys(ds.values64, slice(t, t + 1))[:, 0]
-        for K, table in top._prefix_tables(words, Ks).items():
-            hits[K].append(table.buckets(top._key_prefix(qwords[:, t], K)))
-            label_counts[K].append(label_majorities([table], ds.label_ids))
+    group = max(top.params.K, ds.dim) // top.params.K  # tables per _table_keys call
+    for lo in range(0, top.params.L, group):
+        words = top._table_keys(ds.values64, slice(lo, lo + group))
+        for t in range(words.shape[1]):
+            # one table's words, copied: the strided view sorts slower
+            for K, table in top._prefix_tables(np.ascontiguousarray(words[:, t]), Ks).items():
+                hits[K].append(table.buckets(top._key_prefix(qwords[:, lo + t], K)))
+                label_counts[K].append(label_majorities([table], ds.label_ids))
 
     cells = list(dict.fromkeys(grid))
     outcomes: dict[tuple[int, int], list[QueryOutcome]] = {cell: [] for cell in cells}
     for i, row in enumerate(rows):
         parts = {K: [members[bounds[i] : bounds[i + 1]] for members, bounds in hits[K]] for K in Ks}
         union = distinct(np.concatenate([p for K in Ks for p in parts[K]]))
-        dists = distances_to(ds.vectors[union], ds.vectors[row], metric)
+        q = ds.vectors[row]
+        cut = None
+        if len(union) >= PREFILTER_MIN_ROWS:
+            cut = _score_bounds(ds.vectors[union], ds.norms[union], q, metric)
+        kept, scored = {}, np.zeros(len(union), dtype=bool)
         for L, K in cells:
             multiset = np.concatenate(parts[K][:L])
-            unique = distinct(multiset)
-            results = rank_top_k(ds.ids[unique], dists[np.searchsorted(union, unique)], k + 1)
-            stats = QueryStats(distance_computations=len(multiset), candidates_examined=len(unique))
+            at = np.searchsorted(union, distinct(multiset))
+            stats = QueryStats(distance_computations=len(multiset), candidates_examined=len(at))
+            if cut is not None and len(at) > k + 1:
+                lower, upper = cut[0][at], cut[1][at]
+                at = at[lower <= np.partition(upper, k)[k]]
+            scored[at] = True
+            kept[L, K] = at, stats
+        dists = np.empty(len(union))
+        dists[scored] = distances_to(ds.vectors[union[scored]], q, metric)
+        for (L, K), (at, stats) in kept.items():
+            results = rank_top_k(ds.ids[union[at]], dists[at], k + 1)
             outcomes[L, K].append(_member_outcome(ds, row, relevant[i], results, stats, k))
 
     reports = {}

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from lshkit import BinaryLshIndex, BinaryLshParams, Dataset, QueryStats, distanc
 from lshkit.distances import (
     CHUNK_ROWS,
     PREFILTER_MIN_ROWS,
+    _score_bounds,
     check_k,
     cosine_distances,
     distances_to,
@@ -422,6 +424,45 @@ def test_prefilter_keeps_rows_whose_float32_score_overflows(metric):
     assert len(overflowed) > 0
     keep = prefilter(ds.vectors, ds.norms, big, 1, metric)  # warnings are errors here
     assert set(overflowed) <= set(keep)
+
+
+def squared_distances(matrix, q):
+    """The euclidean kernel's S, its squared distance before the square root."""
+    diff = np.asarray(matrix, dtype=np.float64) - np.asarray(q, dtype=np.float64)
+    return (diff * diff).sum(axis=1)
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_score_bounds_bracket_the_kernel_row_by_row(metric):
+    """lower <= D <= upper on every row (S for euclidean) on the near-tie
+    rows and shells, rows near 1e-22, zero rows and 1e30 rows whose float32
+    score overflows; a row with no finite A + M gets (-inf, +inf), with no
+    warning."""
+    cases = []
+    for dim in (1, 3, 128, 129):
+        ds, q = near_tie_dataset(dim, seed=dim)
+        cases += [(ds, np.asarray(query, dtype=np.float32)) for query in near_tie_queries(ds, q, dim)]
+    ds, queries = tiny_near_ties()
+    cases += [(ds, query) for query in queries]
+    cases.append(near_tie_shell(metric))
+    overflowed = 0
+    for ds, q in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lower, upper = _score_bounds(ds.vectors, ds.norms, q, metric)
+            with np.errstate(over="ignore", invalid="ignore"):
+                wide = ~np.isfinite(ds.vectors @ q) | (ds.norms == 0)
+        if metric == "cosine":
+            exact = cosine_distances(ds.vectors, q)
+        else:
+            exact = squared_distances(ds.vectors, q)
+            assert_bit_identical(np.sqrt(exact), euclidean_distances(ds.vectors, q))
+        assert (lower <= exact).all() and (exact <= upper).all()
+        assert (upper[wide] == np.inf).all() and (lower[wide] == -np.inf).all()
+        assert np.isfinite(upper[~wide]).all() and np.isfinite(lower[~wide]).all()
+        overflowed += np.count_nonzero(wide & (ds.norms > 0))
+    assert overflowed > 0
+    assert _score_bounds(ds.vectors, ds.norms, np.zeros(ds.dim, dtype=np.float32), "cosine") is None
 
 
 @pytest.mark.parametrize("metric", ["cosine", "euclidean"])

@@ -28,6 +28,7 @@ from lshkit import (
     sweep_csv_text,
 )
 from lshkit.binary_lsh import hyperplane_bit
+from lshkit.distances import PREFILTER_MIN_ROWS, _score_bounds, distances_to, rank_top_k
 from lshkit.evaluation import make_index
 from lshkit.real_lsh import RealLshIndex, projection_hash
 from lshkit.tables import BucketTable, prefix_tables
@@ -113,6 +114,67 @@ def test_binary_grid_at_64_bits_equals_oracle():
     ds = clustered(4, 10, 24, seed=9)
     queries = select_queries(ds, seed=9, queries_per_class=2)
     assert_matches_oracle(ds, queries, "binary", [2, 1], [64, 1, 63, 32], seed=13)
+
+
+def near_tie_shells(metric, shells=3, per_shell=50, far=100, dim=64, seed=12):
+    """Per query: the query row, per_shell rows at one true distance from it
+    that rounding alone orders, in alternating classes, and far rows around
+    it. Cosine shells are exact float32 multiples of one integer vector next
+    to the query; euclidean shells are the query plus coordinate
+    permutations of one small offset, in float32 steps near 1000. Returns
+    the dataset and the query ids."""
+    rng = np.random.default_rng(seed)
+    rows, labels, queries = [], [], []
+    for _ in range(shells):
+        if metric == "cosine":
+            v = rng.integers(-1000, 1000, dim)
+            q = v + 1e-3 * rng.standard_normal(dim)
+            shell = np.outer(rng.choice(np.arange(1, 1000), per_shell, replace=False), v)
+        else:
+            step = 2.0**-14  # the float32 spacing in [512, 1024)
+            q = 1000 + step * rng.integers(0, 2**14 * 20, dim)
+            offset = step * rng.integers(-100, 100, dim)
+            shell = q + np.array([rng.permutation(offset) for _ in range(per_shell)])
+        spread = 300.0 if metric == "cosine" else 10.0
+        queries.append(len(rows))
+        rows += [q, *shell, *(q + spread * rng.standard_normal((far, dim)))]
+        labels += [0, *(np.arange(per_shell) % 2), *rng.integers(0, 2, far)]
+    ids = rng.permutation(len(rows)) * 3 + 1
+    ds = Dataset(dim, ["a", "b"], ids, np.array(labels), np.array(rows, dtype=np.float32))
+    return ds, [int(ids[row]) for row in queries]
+
+
+@pytest.mark.parametrize("kind", ["real", "binary"])
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+@pytest.mark.parametrize("per_shell", [50, 3])
+def test_grid_cut_keeps_every_near_tie(kind, metric, per_shell):
+    """Each cell's candidates hold a shell of near ties to the query and far
+    rows the BLAS bounds cut; with 3 shell rows the (k + 1)-th result is a
+    far row. The grid equals the per-cell oracle, and each query's AP equals
+    that of ranking every candidate by the kernel."""
+    ds, queries = near_tie_shells(metric, per_shell=per_shell)
+    w = 1e8 if metric == "cosine" else 400.0  # wide buckets: shells and far rows collide
+    L_values, K_values, k = [1, 3], [1, 2], 5
+    assert_matches_oracle(ds, queries, kind, L_values, K_values, w=w, seed=3, k=k, metric=metric)
+    cells = evaluate_grid(ds, queries, kind, L_values, K_values, w=w, seed=3, k=k, metric=metric)
+    candidates = kept = 0
+    for (L, K), (_, outcomes) in zip([(L, K) for L in L_values for K in K_values], cells):
+        index = make_index(kind, ds, L, K, w, seed=3)
+        for qid, outcome in zip(queries, outcomes):
+            fv = ds.get(qid)
+            ids, _ = index.candidates(fv.values)
+            rows = ds.rows_of(ids)
+            ranked = rank_top_k(ids, distances_to(ds.vectors[rows], fv.values, metric), k + 1)
+            relevant = {int(i) for i in ds.class_ids(fv.label_id)} - {qid}
+            assert outcome.ap == average_precision([i for i, _ in ranked if i != qid][:k], relevant)
+            assert len(rows) > 10 * (k + 1)
+            if (L, K) == (max(L_values), min(K_values)):  # the query's candidate union
+                assert len(rows) >= PREFILTER_MIN_ROWS
+            # the grid cuts the cell with these bounds, scored over the union
+            lower, upper = _score_bounds(ds.vectors[rows], ds.norms[rows], fv.values, metric)
+            candidates += len(rows)
+            kept += np.count_nonzero(lower <= np.partition(upper, k)[k])
+    assert kept < candidates / 2
 
 
 def test_empty_candidate_cells_warn_like_the_oracle(monkeypatch):
