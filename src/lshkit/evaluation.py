@@ -44,15 +44,20 @@ def average_precision(ranked_ids: Sequence[int], relevant) -> float:
     """Mean of precision-at-rank over the relevant ranks, divided by the
     number of relevant items; 1.0 exactly when the relevant items fill the
     top |relevant| ranks. A set or frozenset is used as given; any other
-    iterable is converted to a set of ints."""
+    iterable is converted to a set of ints. A ranked id that appears twice
+    raises ValueError: counted twice, a relevant one could lift AP above 1."""
     if not isinstance(relevant, (set, frozenset)):
         relevant = {int(i) for i in relevant}
     if not relevant:
         raise ValueError("relevant set must be non-empty")
     hits = 0
     acc = 0.0
-    for rank, rid in enumerate(ranked_ids, start=1):
-        if int(rid) in relevant:
+    seen = set()
+    for rank, rid in enumerate(map(int, ranked_ids), start=1):
+        if rid in seen:
+            raise ValueError(f"ranked ids must be distinct, got {rid} twice")
+        seen.add(rid)
+        if rid in relevant:
             hits += 1
             acc += hits / rank
     return acc / len(relevant)
@@ -346,9 +351,7 @@ def evaluate_grid(
     Coefficients at (table t, slot j) depend only on (seed, t, j), so the
     index of cell (L, K) is the first L tables of the (max L, max K) index
     with its keys cut to K slots. The queries are hashed once, the dataset
-    in groups of L' tables with L' max K <= max(max K, d) axes, so a group's
-    key block and BLAS product are no larger than ``values64``, or than one
-    table's when max K > d (16 tables of 4 slots at d = 128 are one group).
+    table by table through ``LshIndex._table_words``, as a build does it.
     Each (table, K) table keeps its bucket statistics and the queries'
     buckets, then is dropped.
 
@@ -382,14 +385,10 @@ def evaluate_grid(
     qwords = top._table_keys(ds.values64[rows])
     hits: dict[int, list] = {K: [] for K in Ks}
     label_counts: dict[int, list] = {K: [] for K in Ks}
-    group = max(top.params.K, ds.dim) // top.params.K  # tables per _table_keys call
-    for lo in range(0, top.params.L, group):
-        words = top._table_keys(ds.values64, slice(lo, lo + group))
-        for t in range(words.shape[1]):
-            # one table's words, copied: the strided view sorts slower
-            for K, table in top._prefix_tables(np.ascontiguousarray(words[:, t]), Ks).items():
-                hits[K].append(table.buckets(top._key_prefix(qwords[:, lo + t], K)))
-                label_counts[K].append(label_majorities([table], ds.label_ids))
+    for t, words in enumerate(top._table_words()):
+        for K, table in top._prefix_tables(words, Ks).items():
+            hits[K].append(table.buckets(top._key_prefix(qwords[:, t], K)))
+            label_counts[K].append(label_majorities([table], ds.label_ids))
 
     cells = list(dict.fromkeys(grid))
     outcomes: dict[tuple[int, int], list[QueryOutcome]] = {cell: [] for cell in cells}

@@ -149,11 +149,19 @@ class LshIndex:
 
     @classmethod
     def build(cls, ds: Dataset, params):
-        """Draw the coefficients of ``params`` and hash ``ds`` into L tables."""
+        """Draw the coefficients of ``params``; hash ``ds`` into L tables (``_table_words``)."""
         index = cls.with_coefficients(ds, params)
-        words = index._table_keys(ds.values64)
-        index.bucket_tables = [BucketTable.build(words[:, t]) for t in range(params.L)]
+        index.bucket_tables = [BucketTable.build(words) for words in index._table_words()]
         return index
+
+    def _table_words(self):
+        """Each table's contiguous (n, W) key words (a strided view sorts slower), hashed L' tables per
+        ``_table_keys`` call with L' K <= max(K, d) axes: the product exceeds ``values64`` only if K > d."""
+        group = max(self.params.K, self.dim) // self.params.K
+        for lo in range(0, self.params.L, group):
+            words = self._table_keys(self.dataset.values64, slice(lo, lo + group))
+            yield from map(np.ascontiguousarray, words.swapaxes(0, 1))
+            del words  # free this group's keys before the next group's call
 
     def _table_keys(self, values64: np.ndarray, tables: slice = slice(None)) -> np.ndarray:
         """(n, L', W) key words of a float64 batch in the L' tables ``tables``

@@ -66,6 +66,16 @@ def test_ap_empty_relevant_raises():
         average_precision([1, 2], set())
 
 
+def test_ap_and_map_refuse_a_repeated_ranked_id():
+    # counted once per occurrence, [1, 1] against {1} scored 2.0
+    with pytest.raises(ValueError, match="ranked ids must be distinct, got 1 twice"):
+        average_precision([1, 1], {1})
+    with pytest.raises(ValueError, match="ranked ids must be distinct, got 5 twice"):
+        mean_average_precision([([5, 5], [5])])
+    with pytest.raises(ValueError, match="got 9 twice"):
+        average_precision([2, 9, np.int64(9)], {2})
+
+
 def test_ap_same_for_every_relevant_container():
     ranked = [5, 1, 9, 3, 7, 2]
     ids = [3, 9, 2, 8]
