@@ -22,7 +22,7 @@ from .distances import (
     _gamma, as_integer, as_query, check_k, check_metric, distances_to, prefilter, rank_top_k, row_norms,
 )
 from .exact import QueryStats
-from .tables import BucketTable, as_dicts, distinct, gather, prefix_tables
+from .tables import BucketTable, as_dicts, distinct, gather
 
 # spawn-key stream tags, so the per-(table, slot) generators of the two
 # index families never collide for the same master seed
@@ -316,10 +316,6 @@ class RealLshIndex(LshIndex):
     def _key_prefix(words: np.ndarray, K: int) -> np.ndarray:
         """A K-slot key is the first K hashes of a longer one."""
         return words[..., :K]
-
-    @staticmethod
-    def _prefix_tables(words: np.ndarray, Ks) -> dict[int, BucketTable]:
-        return dict(zip(Ks, prefix_tables(words, Ks)))
 
     def projection(self, table_index: int, slot: int) -> ProjectionFunction:
         return ProjectionFunction(self.axes[table_index, slot], float(self.offsets[table_index, slot]))

@@ -4,14 +4,14 @@ A table groups the n rows of a dataset by hash key in three arrays: its B
 distinct keys in sorted order (``words``, (B, W) 8-byte words), CSR
 ``offsets`` ((B + 1,), bucket b holds ``rows[offsets[b]:offsets[b + 1]]``)
 and ``rows`` (every row once, ascending within a bucket). A real key is K
-integer hashes (W = K), a binary key one K-bit signature (W = 1); a key row
-is compared as one ``np.void`` value of 8*W bytes, so both families share
-one argsort/searchsorted path, keys sorting by their raw bytes. To build a
-table of one-word keys, the words are sorted as big-endian ``uint64``
-numbers: that is the raw-byte order, and a numeric stable argsort takes
-12 ms against the void one's 29 ms at 100k rows (numpy 2.4). Buckets are
-listed in order of first appearance, the order in which inserting the rows
-one by one creates them.
+integer hashes (W = K), a binary key one K-bit signature (W = 1). Keys
+are ordered by their raw bytes: a lookup compares a key row as one
+``np.void`` value of 8*W bytes. A table is built by one ``np.sort`` of
+uint64 values, each a code of the row's key whose numeric order is that
+byte order with the row number in its low bits (``prefix_tables``); a key
+whose code does not fit 64 bits is sorted by a stable argsort of its
+bytes. Buckets are listed in order of first appearance, the order in which
+inserting the rows one by one creates them.
 
 Snapshot section (little-endian u64): W, n, then per table B, the B*W key
 words (the family's word type), the B + 1 offsets and the n rows.
@@ -22,6 +22,10 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
+
+
+# levels in a key column's rank table; a wider column is sorted by its bytes
+MAX_CODE_LEVELS = 1 << 16
 
 
 class TableFormatError(ValueError):
@@ -45,15 +49,7 @@ class BucketTable:
     @classmethod
     def build(cls, words: np.ndarray) -> "BucketTable":
         """The table of the (n, W) key words of rows 0..n-1."""
-        if words.shape[1] == 1:
-            # read as big-endian numbers, the words sort in their raw-byte order
-            keys = np.ascontiguousarray(words[:, 0]).view(">u8")
-        else:
-            keys = _as_void(words)
-        rows = np.argsort(keys, kind="stable")
-        sorted_keys = keys[rows]
-        starts = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
-        return cls(np.ascontiguousarray(words[rows[starts]]), np.append(starts, len(rows)), rows)
+        return prefix_tables(words, [words.shape[1]])[0]
 
     def bucket(self, key) -> np.ndarray:
         """Rows stored under ``key`` (one void value); empty when it is absent."""
@@ -75,24 +71,49 @@ class BucketTable:
         return np.argsort(self.rows[self.offsets[:-1]])
 
 
-def prefix_tables(words: np.ndarray, widths: Sequence[int]) -> list[BucketTable]:
-    """``BucketTable.build(words[:, :w])`` for each width w, from one sort of
-    the full (n, W) key words.
+def _prefix_codes(words: np.ndarray, width: int, row_bits: int) -> list[np.ndarray]:
+    """``codes[w]`` for w = 0, 1, ... up to ``width``: uint64 codes of the
+    rows' first w key words whose numeric order is their byte order, while
+    no column spans over MAX_CODE_LEVELS levels and ``row_bits`` of the 64
+    bits stay free."""
+    codes, bits = [np.zeros(len(words), dtype=np.uint64)], row_bits
+    for column in words.T[:width]:
+        lo = column.min()
+        span = int(column.max()) - int(lo) + 1
+        bits += (span - 1).bit_length()
+        if span > MAX_CODE_LEVELS or bits > 64:
+            break
+        rank = np.empty(span, dtype=np.uint64)  # of each level of [min, max], in byte order
+        rank[np.argsort((lo + np.arange(span, dtype=column.dtype)).view(">u8"))] = np.arange(span, dtype=np.uint64)
+        codes.append(codes[-1] << np.uint64((span - 1).bit_length()) | rank[column - lo])
+    return codes
 
-    Byte order compares a key's leading words first, so the buckets of a
-    shorter key are runs of the full keys' sorted order; each run's rows are
-    then put back in ascending order.
+
+def prefix_tables(words: np.ndarray, widths: Sequence[int]) -> list[BucketTable]:
+    """``BucketTable.build(words[:, :w])`` for each width w.
+
+    One sort of the distinct values ``code << b | row`` (``_prefix_codes``,
+    b the bit length of n - 1) lists the rows by key and ascending within a
+    key. Where the code does not fit, a stable argsort of the key bytes
+    (one-word keys as big-endian numbers) does.
     """
     n = len(words)
-    order = np.argsort(_as_void(words), kind="stable")
-    ordered = words[order]
+    row_bits = (n - 1).bit_length()
+    codes = _prefix_codes(words, max(widths), row_bits)
     out = []
     for width in widths:
+        if width < len(codes):
+            keys = np.sort(codes[width] << np.uint64(row_bits) | np.arange(n, dtype=np.uint64))
+            rows = (keys & np.uint64((1 << row_bits) - 1)).astype(np.intp)
+            keys >>= np.uint64(row_bits)
+        else:
+            keys = _as_void(words[:, :width]) if width > 1 else words[:, 0].view(">u8")
+            rows = np.argsort(keys, kind="stable")
+            keys = keys[rows]
         new = np.ones(n, dtype=bool)
-        new[1:] = (ordered[1:, :width] != ordered[:-1, :width]).any(axis=1)
+        new[1:] = keys[1:] != keys[:-1]
         starts = np.flatnonzero(new)
-        rows = np.sort((np.cumsum(new) - 1) * n + order) % n
-        out.append(BucketTable(np.ascontiguousarray(ordered[starts, :width]), np.append(starts, n), rows))
+        out.append(BucketTable(np.ascontiguousarray(words[rows[starts], :width]), np.append(starts, n), rows))
     return out
 
 
