@@ -192,7 +192,7 @@ class Dataset:
     @property
     def values64(self) -> np.ndarray:
         """Float64 copy of the vectors, cached; only hashing reads it
-        (``LshIndex._table_keys``), distances are scored from ``vectors``."""
+        (``LshIndex._table_words``), distances are scored from ``vectors``."""
         if self._values64 is None:
             self._values64 = self.vectors.astype(np.float64)
             self._values64.setflags(write=False)

@@ -382,7 +382,7 @@ def evaluate_grid(
 
     # per K, per table: the queries' bucket rows, and each bucket's
     # majority-label count and size
-    qwords = top._table_keys(ds.vectors[rows].astype(np.float64))
+    qwords = top._table_keys(ds.vectors[rows])
     hits: dict[int, list] = {K: [] for K in Ks}
     label_counts: dict[int, list] = {K: [] for K in Ks}
     for t, words in enumerate(top._table_words()):

@@ -7,8 +7,8 @@ table with high probability; query time only ranks the union of the L
 buckets the query hashes to. Every key of both families is a function of
 the v . X that :func:`project` computes; a family only quantizes the
 projections and packs them into key words. A large batch is projected with
-one BLAS product instead, which only decides the keys that a proven margin
-shows equal to ``project``'s (``LshIndex._table_keys``).
+one BLAS product per block of rows instead, which only decides the keys that
+a proven margin shows equal to ``project``'s (``LshIndex._table_keys``).
 """
 
 from __future__ import annotations
@@ -31,15 +31,18 @@ STREAM_BINARY = 1
 
 DEFAULT_WIDTH = 4.0
 
-# _table_keys projects a batch of at least this many rows with one BLAS
-# product, and a smaller one (a query) with project alone, which is faster
+# _table_keys projects a batch of at least this many rows with BLAS products,
+# and a smaller one (a query) with project alone, which is faster
 # there: one row onto 120 axes takes 15 us through project and 22 us through
 # the BLAS path, 64 rows onto 64-120 axes 2.5-3x longer through project
 # (2-vCPU x86-64 VM, one BLAS thread)
 BLAS_HASH_MIN_ROWS = 64
-# rows per block of the margin test: its float64 temporaries stay a few
-# MiB, while the BLAS product itself covers the whole batch
-HASH_BLOCK_ROWS = 8192
+# rows per block of _table_keys: a block's float64 rows, BLAS product and
+# margin temporaries stay cache-sized (720 KiB at 120 axes); 256-1,024 rows
+# hash a 100k x 128 build alike, 2,048 and more slower (2-vCPU x86-64 VM).
+# After 512-row builds, the next 10-20 MB allocations (a dataset load) hit
+# fresh pages in some process layouts, twice as slow; 640-1,024 rows did not
+HASH_BLOCK_ROWS = 768
 
 
 def check_params(params) -> None:
@@ -155,23 +158,26 @@ class LshIndex:
         return index
 
     def _table_words(self):
-        """Each table's contiguous (n, W) key words (a strided view sorts slower), hashed L' tables per
-        ``_table_keys`` call with L' K <= max(K, d) axes: the product exceeds ``values64`` only if K > d."""
+        """Each table's contiguous (n, W) key words (a strided view sorts slower), hashed from ``values64``
+        L' tables per ``_table_keys`` call with L' K <= max(K, d) axes: the key block exceeds ``values64``
+        only if K > d."""
         group = max(self.params.K, self.dim) // self.params.K
         for lo in range(0, self.params.L, group):
             words = self._table_keys(self.dataset.values64, slice(lo, lo + group))
             yield from map(np.ascontiguousarray, words.swapaxes(0, 1))
             del words  # free this group's keys before the next group's call
 
-    def _table_keys(self, values64: np.ndarray, tables: slice = slice(None)) -> np.ndarray:
-        """(n, L', W) key words of a float64 batch in the L' tables ``tables``
-        selects: the words of ``project``'s values, bit for bit.
+    def _table_keys(self, values: np.ndarray, tables: slice = slice(None)) -> np.ndarray:
+        """(n, L', W) key words of a batch of float32 values, held in float32
+        or float64, in the L' tables ``tables`` selects: the words of
+        ``project``'s values, bit for bit.
 
-        A batch of BLAS_HASH_MIN_ROWS rows or more is projected with one BLAS
-        product P'. Its levels are only used where a margin M proves them
-        equal to the levels of ``project``'s P; every row with another entry
-        is projected again with ``project``. The levels are decided and
-        packed HASH_BLOCK_ROWS rows at a time.
+        A batch of BLAS_HASH_MIN_ROWS rows or more is hashed HASH_BLOCK_ROWS
+        rows at a time: each block is cast to float64 and projected with one
+        BLAS product P'. Its levels are only used where a margin M proves them
+        equal to the levels of ``project``'s P; every row of the block with
+        another entry is projected again with ``project``. Each block's levels
+        are packed before the next block is read.
 
         **The margin.** u = eps / 2, gamma_n = n u / (1 - n u) (``distances.
         _gamma``), and gamma_n + u <= gamma_(n+1). Rows and axes hold float32
@@ -201,21 +207,21 @@ class LshIndex:
         """
         axes = self._axes64[tables].reshape(-1, self.dim)
         shape = (-1, len(axes) // self.params.K, self.params.K)
-        if len(values64) < BLAS_HASH_MIN_ROWS:
-            return self._pack(self._quantize(project(values64, axes).reshape(shape), tables))
-        norms = self.dataset.norms if values64 is self.dataset.values64 else row_norms(values64)
+        if len(values) < BLAS_HASH_MIN_ROWS:
+            exact = project(np.asarray(values, dtype=np.float64), axes)
+            return self._pack(self._quantize(exact.reshape(shape), tables))
+        norms = self.dataset.norms if values is self.dataset.values64 else row_norms(values)
         margins = self._margins[tables].reshape(-1)
-        proj = values64 @ axes.T
         blocks = []
-        for lo in range(0, len(values64), HASH_BLOCK_ROWS):
-            block = proj[lo : lo + HASH_BLOCK_ROWS]
+        for lo in range(0, len(values), HASH_BLOCK_ROWS):
+            block = np.asarray(values[lo : lo + HASH_BLOCK_ROWS], dtype=np.float64)
+            proj = block @ axes.T
             margin = norms[lo : lo + HASH_BLOCK_ROWS, None] * margins
-            levels = self._quantize((block - margin).reshape(shape), tables)
-            undecided = np.flatnonzero(levels != self._quantize((block + margin).reshape(shape), tables))
+            levels = self._quantize((proj - margin).reshape(shape), tables)
+            undecided = np.flatnonzero(levels != self._quantize((proj + margin).reshape(shape), tables))
             rows = np.unique(undecided // len(axes))
             if len(rows):
-                exact = project(values64[lo + rows], axes).reshape(shape)
-                levels[rows] = self._quantize(exact, tables)
+                levels[rows] = self._quantize(project(block[rows], axes).reshape(shape), tables)
             blocks.append(self._pack(levels))
         return np.concatenate(blocks)
 
@@ -233,13 +239,13 @@ class LshIndex:
     def _vector_key(self, table_index: int, vector):
         if not 0 <= table_index < self.params.L:
             raise ValueError(f"table_index {table_index} out of range for L={self.params.L}")
-        qv = as_query(vector, self.dim).astype(np.float64).reshape(1, -1)
+        qv = as_query(vector, self.dim).reshape(1, -1)
         return self._key_of(self._table_keys(qv, slice(table_index, table_index + 1))[0, 0].tolist())
 
     def _candidate_rows(self, qv: np.ndarray) -> tuple[np.ndarray, int]:
         """The distinct rows, ascending, in the L buckets of an ``as_query``
         vector, plus the multiset count of bucket members across tables."""
-        gathered = gather(self.bucket_tables, self._table_keys(qv.astype(np.float64).reshape(1, -1))[0])
+        gathered = gather(self.bucket_tables, self._table_keys(qv.reshape(1, -1))[0])
         return distinct(gathered), len(gathered)
 
     def candidates(self, q) -> tuple[np.ndarray, int]:
