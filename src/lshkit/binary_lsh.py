@@ -80,6 +80,15 @@ class BinaryLshIndex(LshIndex):
         """A key is K sign bits: 1 where v . X >= 0."""
         return proj >= 0
 
+    @staticmethod
+    def _decide(proj: np.ndarray, margin: np.ndarray, tables: slice):
+        """The bits of float32 projections, and where margin < |proj| < inf
+        fixes them (``_table_keys``). The margin is compared in float32,
+        rounded up: the next float32 above the nearest one is at least it."""
+        margin = np.nextafter(margin.astype(np.float32), np.float32(np.inf))
+        size = np.abs(proj)
+        return proj >= 0, (size > margin) & (size < np.inf)
+
     def _pack(self, bits: np.ndarray) -> np.ndarray:
         """The K bits as one word, most-significant-first."""
         return (bits.astype(np.uint64) @ self._weights)[..., None]

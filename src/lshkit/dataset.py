@@ -92,7 +92,7 @@ class Dataset:
 
     Distances are scored from the float32 ``vectors``. Three caches are
     filled on first use, never at load: ``values64`` (the vectors in
-    float64, which only hashing reads), ``norms`` (one float64 L2 norm per
+    float64; no library path reads it), ``norms`` (one float64 L2 norm per
     row, computed from the float32 rows, with which the exact scan and LSH
     queries skip rows that cannot reach the top k) and ``fingerprint`` (the
     int snapshots are checked against). They hold because the dataset owns
@@ -191,8 +191,8 @@ class Dataset:
 
     @property
     def values64(self) -> np.ndarray:
-        """Float64 copy of the vectors, cached; only hashing reads it
-        (``LshIndex._table_words``), distances are scored from ``vectors``."""
+        """Float64 copy of the vectors, cached; no library path reads it:
+        distances are scored and keys hashed from ``vectors``."""
         if self._values64 is None:
             self._values64 = self.vectors.astype(np.float64)
             self._values64.setflags(write=False)

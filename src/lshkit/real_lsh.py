@@ -7,8 +7,9 @@ table with high probability; query time only ranks the union of the L
 buckets the query hashes to. Every key of both families is a function of
 the v . X that :func:`project` computes; a family only quantizes the
 projections and packs them into key words. A large batch is projected with
-one BLAS product per block of rows instead, which only decides the keys that
-a proven margin shows equal to ``project``'s (``LshIndex._table_keys``).
+one float32 BLAS product per block of rows instead, and then a float64 one
+for the rows it leaves open; each only decides the keys that a proven margin
+shows equal to ``project``'s (``LshIndex._table_keys``).
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import numpy as np
 
 from .dataset import Dataset, child_rng
 from .distances import (
-    _gamma, as_integer, as_query, check_k, check_metric, distances_to, prefilter, rank_top_k, row_norms,
+    _U32, _gamma, _underflow_margin, as_integer, as_query, check_k, check_metric, distances_to, prefilter,
+    rank_top_k, row_norms,
 )
 from .exact import QueryStats
 from .tables import BucketTable, as_dicts, distinct, gather
@@ -33,15 +35,18 @@ DEFAULT_WIDTH = 4.0
 
 # _table_keys projects a batch of at least this many rows with BLAS products,
 # and a smaller one (a query) with project alone, which is faster
-# there: one row onto 120 axes takes 15 us through project and 22 us through
-# the BLAS path, 64 rows onto 64-120 axes 2.5-3x longer through project
-# (2-vCPU x86-64 VM, one BLAS thread)
+# there: one row onto 120 axes takes 12 us through project and 36 us through
+# the two BLAS tiers, 64 rows onto 64-120 axes 1.3-2.6x longer through
+# project (2-vCPU x86-64 VM, one BLAS thread)
 BLAS_HASH_MIN_ROWS = 64
-# rows per block of _table_keys: a block's float64 rows, BLAS product and
-# margin temporaries stay cache-sized (720 KiB at 120 axes); 256-1,024 rows
-# hash a 100k x 128 build alike, 2,048 and more slower (2-vCPU x86-64 VM).
-# After 512-row builds, the next 10-20 MB allocations (a dataset load) hit
-# fresh pages in some process layouts, twice as slow; 640-1,024 rows did not
+# rows per block of _table_keys: a block's float32 rows (384 KiB at d = 128),
+# float32 BLAS product (360 KiB at 120 axes) and decision temporaries stay
+# cache-sized; a 100k x 128, 120-axis call takes 86-91 ms at 768 and 1,024
+# rows, 86-97 at 512, 89-114 at 256, 93-98 at 2,048 and 97-131 at 4,096
+# (2-vCPU x86-64 VM, four calls each in a quiet phase). After 512-row
+# float64 blocks, the next 10-20 MB allocations (a dataset load) hit fresh
+# pages in some process layouts, twice as slow; 640-1,024 rows did not, nor
+# 768 float32 rows
 HASH_BLOCK_ROWS = 768
 
 
@@ -110,6 +115,13 @@ def _hash_margin(d: int) -> float:
     return 2 * _gamma(3 * d + 5)
 
 
+def _hash_margin32(d: int) -> float:
+    """c32 such that M32 = fl(fl(n_v fl(c32 n_X)) + z), z = _underflow_margin(d),
+    bounds |finite float32 BLAS v . X - project's v . X|; derivation in
+    LshIndex._table_keys."""
+    return 2 * (_gamma(d, _U32) + _gamma(d))
+
+
 class LshIndex:
     """An index of one hash family over a dataset: the family's coefficients
     plus L flat bucket tables. Frozen after build: concurrent readers, no
@@ -117,10 +129,12 @@ class LshIndex:
     spawn-key tag), ``make_params(L, K, w, seed)`` (its params),
     ``_draw(rng, dim, params)`` (one (table, slot)'s float32 coefficients,
     in snapshot order), ``coefficients`` (its coefficient arrays, in the
-    order ``_draw`` and its constructor use), ``_axes64`` (its (L, K, d)
-    float64 projection axes), ``_quantize`` ((n, L', K) projections onto L'
-    tables' axes -> one level per projection, each a nondecreasing function
-    of its projection), ``_pack`` ((n, L', K) levels -> their (n, L', W) key
+    order ``_draw`` and its constructor use), ``_set_axes`` (a call with its
+    float32 (L, K, d) projection axes), ``_quantize`` ((n, L', K)
+    projections onto L' tables' axes -> one level per projection, each a
+    nondecreasing function of its projection), ``_decide`` (float32
+    projections and their per-row margins -> levels, and where the margin
+    proves them equal to ``project``'s), ``_pack`` ((n, L', K) levels -> their (n, L', W) key
     words), ``_key_prefix`` (the key words of a shorter key) and ``_key_of``
     (key words -> the key's Python form)."""
 
@@ -133,11 +147,15 @@ class LshIndex:
         self.dataset = dataset
 
     def _set_axes(self, axes: np.ndarray) -> None:
-        """Keep the float64 (L, K, d) projection axes and each axis's margin
-        factor ``_hash_margin(d) |X|`` (``_table_keys``)."""
+        """Keep the float32 (L, K, d) projection axes, their float64 copy and
+        each axis's margin factors ``_hash_margin(d) |X|`` and
+        ``_hash_margin32(d) |X|``, plus ``_underflow_margin(d)`` (``_table_keys``)."""
+        self._axes32 = axes
         self._axes64 = axes.astype(np.float64)
         norms = row_norms(self._axes64.reshape(-1, self.dim)).reshape(axes.shape[:2])
         self._margins = _hash_margin(self.dim) * norms
+        self._margins32 = _hash_margin32(self.dim) * norms
+        self._underflow = _underflow_margin(self.dim)
 
     @classmethod
     def with_coefficients(cls, ds: Dataset, params):
@@ -158,12 +176,12 @@ class LshIndex:
         return index
 
     def _table_words(self):
-        """Each table's contiguous (n, W) key words (a strided view sorts slower), hashed from ``values64``
-        L' tables per ``_table_keys`` call with L' K <= max(K, d) axes: the key block exceeds ``values64``
-        only if K > d."""
+        """Each table's contiguous (n, W) key words (a strided view sorts slower), hashed from ``vectors``
+        L' tables per ``_table_keys`` call with L' K <= max(K, d) axes: the key block exceeds twice
+        ``vectors`` only if K > d."""
         group = max(self.params.K, self.dim) // self.params.K
         for lo in range(0, self.params.L, group):
-            words = self._table_keys(self.dataset.values64, slice(lo, lo + group))
+            words = self._table_keys(self.dataset.vectors, slice(lo, lo + group))
             yield from map(np.ascontiguousarray, words.swapaxes(0, 1))
             del words  # free this group's keys before the next group's call
 
@@ -173,57 +191,109 @@ class LshIndex:
         ``project``'s values, bit for bit.
 
         A batch of BLAS_HASH_MIN_ROWS rows or more is hashed HASH_BLOCK_ROWS
-        rows at a time: each block is cast to float64 and projected with one
-        BLAS product P'. Its levels are only used where a margin M proves them
-        equal to the levels of ``project``'s P; every row of the block with
-        another entry is projected again with ``project``. Each block's levels
-        are packed before the next block is read.
+        rows at a time, in two tiers. Each block's float32 rows are projected
+        with one float32 BLAS product P32 onto the float32 axes, and the
+        family's ``_decide`` keeps the levels that a margin M32 proves equal
+        to the levels of ``project``'s P; each block's levels are packed
+        before the next block is read. The rows with another entry go to the
+        float64 tier (``_levels64``) after the last block, HASH_BLOCK_ROWS at
+        a time, and their keys replace the packed ones: cast to float64 and
+        projected with one float64 BLAS product P', whose levels are kept
+        where a margin M proves them equal to P's; a row with another entry
+        still is projected again with ``project``. Both margins assume
+        d <= 2^21, as ``distances.prefilter`` does.
 
-        **The margin.** u = eps / 2, gamma_n = n u / (1 - n u) (``distances.
-        _gamma``), and gamma_n + u <= gamma_(n+1). Rows and axes hold float32
-        values, so each float64 product or square of two coordinates is
-        exact, and nothing over- or underflows. A sum of d such products in
-        any order (einsum's, BLAS's, with or without FMA) is within
-        gamma_d sum |v_i X_i| <= gamma_d |v| |X| of the exact dot product
-        (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1),
-        so |P' - P| <= 2 gamma_d |v| |X|. A cached norm n_v (``Dataset.
-        norms``, ``row_norms``: such a sum of squares, then a rounded square
-        root) is at least (1 - gamma_(d+1)) |v|, and n_X likewise for |X|.
-        c = ``_hash_margin(d)`` is 2 gamma_(3d+5) within two roundings and
-        M = fl(n_v fl(c n_X)) adds two more, so M >= 2 gamma_(3d+5) (1 - u)^4
-        (1 - gamma_(d+1))^2 |v| |X| >= 2 gamma_(3d+5) (1 - 2 gamma_(d+3))
-        |v| |X|. Since gamma_(3d+5) > 3 gamma_d, and 1 - 2 gamma_(d+3) >= 1/3
-        for any d with (d + 3) u <= 1/4, M >= 2 gamma_d |v| |X| >= |P' - P|:
-        the margin is about three times the bound it has to meet.
+        **The float64 margin.** u = eps / 2, gamma_n = n u / (1 - n u)
+        (``distances._gamma``), and gamma_n + u <= gamma_(n+1). Rows and axes
+        hold float32 values, so each float64 product or square of two
+        coordinates is exact, and nothing over- or underflows. A sum of d
+        such products in any order (einsum's, BLAS's, with or without FMA)
+        is within gamma_d sum |v_i X_i| <= gamma_d |v| |X| of the exact dot
+        product (Higham, Accuracy and Stability of Numerical Algorithms,
+        sec. 3.1), so |P' - P| <= 2 gamma_d |v| |X|. A cached norm n_v
+        (``Dataset.norms``, ``row_norms``: such a sum of squares, then a
+        rounded square root) is at least (1 - gamma_(d+1)) |v|, and n_X
+        likewise for |X|. c = ``_hash_margin(d)`` is 2 gamma_(3d+5) within
+        two roundings and M = fl(n_v fl(c n_X)) adds two more, so
+        M >= 2 gamma_(3d+5) (1 - u)^4 (1 - gamma_(d+1))^2 |v| |X| >=
+        2 gamma_(3d+5) (1 - 2 gamma_(d+3)) |v| |X|. Since gamma_(3d+5) >
+        3 gamma_d, and 1 - 2 gamma_(d+3) >= 1/3 for any d with
+        (d + 3) u <= 1/4, M >= 2 gamma_d |v| |X| >= |P' - P|: the margin is
+        about three times the bound it has to meet.
 
-        **The decision.** P' - M <= P <= P' + M, P is a float and rounding
-        is monotone, so fl(P' - M) <= P <= fl(P' + M). Each level is a
-        nondecreasing function of its projection (``+ b``, ``/ w`` and floor
-        for real keys, ``>= 0`` for binary bits), so where the levels of
-        fl(P' - M) and fl(P' + M) agree, P has that level too. The overflow
-        check of real keys runs on the decided levels, so it raises exactly
-        when it would on ``project``'s. Which rows are projected again can
-        depend on the BLAS kernel and thread count; the keys cannot.
+        **The float32 margin.** gamma'_n is gamma_n with float32's unit
+        roundoff 2^-24. P32's products and sums round to float32, so they
+        can overflow and underflow. An inf or NaN never turns finite again
+        in a sum or product, so a finite P32 had no overflow, and then
+        |P32 - v . X| <= gamma'_d |v| |X| + Z with Z = d 2^-150
+        (1 + gamma'_d), in any order, with or without FMA (gradual
+        underflow adds at most 2^-150 per rounding; derivation in
+        ``distances.prefilter``). So |P32 - P| <= (gamma'_d + gamma_d)
+        |v| |X| + Z. c32 = ``_hash_margin32(d)`` is 2 (gamma'_d + gamma_d)
+        within three roundings, C is the largest fl(c32 n_X) of the call's
+        axes, z = ``_underflow_margin(d)`` = d 2^-149 is exact, and each row
+        gets one margin M32 = fl(fl(n_v C) + z), so M32 >= 2 (1 - u)^6
+        (1 - gamma_(d+1))^2 (gamma'_d + gamma_d) |v| |X| + (1 - u) z. For
+        d <= 2^21, gamma'_d <= 1/7 and gamma_(d+1) < 2^-31, so
+        2 (1 - u)^6 (1 - gamma_(d+1))^2 >= 1 and (1 - u) z >= Z:
+        M32 >= |P32 - P| wherever P32 is finite. A non-finite P32 decides
+        nothing.
+
+        **The decision.** Let Q be P' with M, or a finite P32 with M32. Then
+        Q - M <= P <= Q + M, P is a float64 and rounding is monotone, so
+        fl(Q - M) <= P <= fl(Q + M). Each level is a nondecreasing function
+        of its projection (``+ b``, ``/ w`` and floor for real keys, ``>= 0``
+        for binary bits), so where the levels of fl(Q - M) and fl(Q + M)
+        agree, P has that level too. Real keys' ``_decide`` tests just that
+        on P32, and a difference of non-finite levels (inf - inf, NaN) is
+        not zero, so it decides nothing there. Binary keys' ``_decide``
+        keeps the entries where m < |P32| < inf, m being M32 rounded up to a
+        float32: there P and P32 have the same nonzero sign, and the bit is
+        P32 >= 0. The overflow check of
+        real keys runs on the decided levels (and on the placeholder zeros,
+        which fit), so it raises exactly when it would on ``project``'s. Which rows reach each tier can depend on the
+        BLAS kernel and thread count; the keys cannot.
         """
         axes = self._axes64[tables].reshape(-1, self.dim)
         shape = (-1, len(axes) // self.params.K, self.params.K)
         if len(values) < BLAS_HASH_MIN_ROWS:
             exact = project(np.asarray(values, dtype=np.float64), axes)
             return self._pack(self._quantize(exact.reshape(shape), tables))
-        norms = self.dataset.norms if values is self.dataset.values64 else row_norms(values)
-        margins = self._margins[tables].reshape(-1)
-        blocks = []
+        axes32 = self._axes32[tables].reshape(-1, self.dim)
+        norms = self.dataset.norms if values is self.dataset.vectors else row_norms(values)
+        scale = self._margins32[tables].max()
+        blocks, undecided = [], []
         for lo in range(0, len(values), HASH_BLOCK_ROWS):
-            block = np.asarray(values[lo : lo + HASH_BLOCK_ROWS], dtype=np.float64)
-            proj = block @ axes.T
-            margin = norms[lo : lo + HASH_BLOCK_ROWS, None] * margins
-            levels = self._quantize((proj - margin).reshape(shape), tables)
-            undecided = np.flatnonzero(levels != self._quantize((proj + margin).reshape(shape), tables))
-            rows = np.unique(undecided // len(axes))
-            if len(rows):
-                levels[rows] = self._quantize(project(block[rows], axes).reshape(shape), tables)
+            block = np.asarray(values[lo : lo + HASH_BLOCK_ROWS], dtype=np.float32)
+            margin = norms[lo : lo + HASH_BLOCK_ROWS] * scale
+            margin += self._underflow
+            with np.errstate(all="ignore"):  # a non-finite projection decides nothing
+                levels, decided = self._decide((block @ axes32.T).reshape(shape), margin[:, None, None], tables)
+            rows = np.unique(np.flatnonzero(~decided) // len(axes))
+            levels[rows] = 0  # packed as a placeholder; the float64 tier's keys replace it
             blocks.append(self._pack(levels))
-        return np.concatenate(blocks)
+            undecided.append(rows + lo)
+        keys = np.concatenate(blocks)
+        del blocks  # before the float64 tier's temporaries
+        undecided = np.concatenate(undecided)
+        for lo in range(0, len(undecided), HASH_BLOCK_ROWS):
+            rows = undecided[lo : lo + HASH_BLOCK_ROWS]
+            keys[rows] = self._pack(self._levels64(values[rows], norms[rows], axes, tables))
+        return keys
+
+    def _levels64(self, values: np.ndarray, norms: np.ndarray, axes: np.ndarray, tables: slice) -> np.ndarray:
+        """``_table_keys``' float64 tier: the (n, L', K) levels of float32
+        rows with norms ``norms`` on the float64 ``axes`` of ``tables``."""
+        shape = (-1, len(axes) // self.params.K, self.params.K)
+        rows = values.astype(np.float64)
+        proj = rows @ axes.T
+        margin = norms[:, None] * self._margins[tables].reshape(-1)
+        levels = self._quantize((proj - margin).reshape(shape), tables)
+        undecided = np.flatnonzero(levels != self._quantize((proj + margin).reshape(shape), tables))
+        again = np.unique(undecided // len(axes))
+        if len(again):
+            levels[again] = self._quantize(project(rows[again], axes).reshape(shape), tables)
+        return levels
 
     def _prefix_tables(self, words: np.ndarray, Ks) -> dict[int, BucketTable]:
         """For each K in ``Ks``, the table that an index with K slots builds,
@@ -313,7 +383,17 @@ class RealLshIndex(LshIndex):
     def _quantize(self, proj: np.ndarray, tables: slice) -> np.ndarray:
         """A key is the K integer hashes floor((v . X + b) / w), here still
         float64."""
-        return np.floor((proj + self._offsets64[tables]) / self.params.w)
+        levels = proj + self._offsets64[tables]
+        levels /= self.params.w
+        return np.floor(levels, out=levels)
+
+    def _decide(self, proj: np.ndarray, margin: np.ndarray, tables: slice):
+        """The levels of proj - margin, and where those of proj + margin
+        equal them (``_table_keys``); inf - inf and NaN levels differ."""
+        levels = self._quantize(proj - margin, tables)
+        high = self._quantize(proj + margin, tables)
+        high -= levels
+        return levels, high == 0
 
     def _pack(self, levels: np.ndarray) -> np.ndarray:
         return _int64_keys(levels, self.params.w)
