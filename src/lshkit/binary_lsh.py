@@ -82,9 +82,10 @@ class BinaryLshIndex(LshIndex):
 
     @staticmethod
     def _decide(proj: np.ndarray, margin: np.ndarray, tables: slice):
-        """The bits of float32 projections, and where margin < |proj| < inf
-        fixes them (``_table_keys``). The margin is compared in float32,
-        rounded up: the next float32 above the nearest one is at least it."""
+        """The bits of float32 or float64 projections, and where
+        margin < |proj| < inf fixes them (``_table_keys``). The margin is
+        compared rounded up to a float32, the next one above the nearest,
+        which is at least it: against a float64 projection it only widens."""
         margin = np.nextafter(margin.astype(np.float32), np.float32(np.inf))
         size = np.abs(proj)
         return proj >= 0, (size > margin) & (size < np.inf)

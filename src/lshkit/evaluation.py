@@ -603,7 +603,8 @@ def distractor_contamination(
 
     backend is a merged Dataset (exact scan) or an index built over one; the
     dataset must carry the source flags attached by merge_datasets. Queries
-    default to every source-a vector. Self-matches count like any result.
+    default to every source-a vector; query_ids, if given, must be non-empty.
+    Self-matches count like any result.
     """
     check_k(k)
     scan = isinstance(backend, Dataset)
@@ -611,6 +612,8 @@ def distractor_contamination(
     ds = backend if scan else backend.dataset
     if ds.sources is None:
         raise ValueError("dataset carries no source flags; build it with merge_datasets")
+    if query_ids is not None and len(query_ids) == 0:
+        raise ValueError("query_ids must be non-empty")
     rows = np.flatnonzero(ds.sources == 0) if query_ids is None else ds.rows_of(query_ids)
     if len(rows) == 0:
         raise ValueError("no queries: the merged dataset has no source-a vectors")

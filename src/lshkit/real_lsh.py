@@ -39,14 +39,12 @@ DEFAULT_WIDTH = 4.0
 # the two BLAS tiers, 64 rows onto 64-120 axes 1.3-2.6x longer through
 # project (2-vCPU x86-64 VM, one BLAS thread)
 BLAS_HASH_MIN_ROWS = 64
-# rows per block of _table_keys: a block's float32 rows (384 KiB at d = 128),
-# float32 BLAS product (360 KiB at 120 axes) and decision temporaries stay
-# cache-sized; a 100k x 128, 120-axis call takes 86-91 ms at 768 and 1,024
-# rows, 86-97 at 512, 89-114 at 256, 93-98 at 2,048 and 97-131 at 4,096
-# (2-vCPU x86-64 VM, four calls each in a quiet phase). After 512-row
-# float64 blocks, the next 10-20 MB allocations (a dataset load) hit fresh
-# pages in some process layouts, twice as slow; 640-1,024 rows did not, nor
-# 768 float32 rows
+# rows per block of a BLAS tier of _table_keys: a block's float32 rows
+# (384 KiB at d = 128), float32 BLAS product (360 KiB at 120 axes) and
+# decision temporaries stay cache-sized; a 100k x 128, 120-axis call takes
+# 86-91 ms at 768 and 1,024 rows, 86-97 at 512, 89-114 at 256, 93-98 at
+# 2,048 and 97-131 at 4,096 (2-vCPU x86-64 VM, four calls each in a quiet
+# phase)
 HASH_BLOCK_ROWS = 768
 
 
@@ -109,14 +107,14 @@ def projection_hash(vector, fn: ProjectionFunction, width: float) -> int:
 
 
 def _hash_margin(d: int) -> float:
-    """c such that M = fl(n_v fl(c n_X)), from the cached norms n_v of v and
-    n_X of X, bounds |BLAS v . X - project's v . X|; derivation in
-    LshIndex._table_keys."""
-    return 2 * _gamma(3 * d + 5)
+    """c such that M = fl(fl(n_v fl(c max n_X)) + z), z = _underflow_margin(d),
+    from the cached norms n_v of v and n_X of the axes X, bounds
+    |float64 BLAS v . X - project's v . X|; derivation in LshIndex._table_keys."""
+    return 2 * (_gamma(d) + _gamma(d))
 
 
 def _hash_margin32(d: int) -> float:
-    """c32 such that M32 = fl(fl(n_v fl(c32 n_X)) + z), z = _underflow_margin(d),
+    """c32 such that M = fl(fl(n_v fl(c32 max n_X)) + z), z = _underflow_margin(d),
     bounds |finite float32 BLAS v . X - project's v . X|; derivation in
     LshIndex._table_keys."""
     return 2 * (_gamma(d, _U32) + _gamma(d))
@@ -132,11 +130,11 @@ class LshIndex:
     order ``_draw`` and its constructor use), ``_set_axes`` (a call with its
     float32 (L, K, d) projection axes), ``_quantize`` ((n, L', K)
     projections onto L' tables' axes -> one level per projection, each a
-    nondecreasing function of its projection), ``_decide`` (float32
-    projections and their per-row margins -> levels, and where the margin
-    proves them equal to ``project``'s), ``_pack`` ((n, L', K) levels -> their (n, L', W) key
-    words), ``_key_prefix`` (the key words of a shorter key) and ``_key_of``
-    (key words -> the key's Python form)."""
+    nondecreasing function of its projection), ``_decide`` (float32 or
+    float64 BLAS projections and their per-row margins -> levels, and where
+    the margin proves them equal to ``project``'s), ``_pack`` ((n, L', K)
+    levels -> their (n, L', W) key words), ``_key_prefix`` (the key words of
+    a shorter key) and ``_key_of`` (key words -> the key's Python form)."""
 
     kind: str
 
@@ -148,14 +146,10 @@ class LshIndex:
 
     def _set_axes(self, axes: np.ndarray) -> None:
         """Keep the float32 (L, K, d) projection axes, their float64 copy and
-        each axis's margin factors ``_hash_margin(d) |X|`` and
-        ``_hash_margin32(d) |X|``, plus ``_underflow_margin(d)`` (``_table_keys``)."""
+        each axis's norm, which scales both BLAS tiers' margins (``_table_keys``)."""
         self._axes32 = axes
         self._axes64 = axes.astype(np.float64)
-        norms = row_norms(self._axes64.reshape(-1, self.dim)).reshape(axes.shape[:2])
-        self._margins = _hash_margin(self.dim) * norms
-        self._margins32 = _hash_margin32(self.dim) * norms
-        self._underflow = _underflow_margin(self.dim)
+        self._axis_norms = row_norms(self._axes64.reshape(-1, self.dim)).reshape(axes.shape[:2])
 
     @classmethod
     def with_coefficients(cls, ds: Dataset, params):
@@ -190,110 +184,94 @@ class LshIndex:
         or float64, in the L' tables ``tables`` selects: the words of
         ``project``'s values, bit for bit.
 
-        A batch of BLAS_HASH_MIN_ROWS rows or more is hashed HASH_BLOCK_ROWS
-        rows at a time, in two tiers. Each block's float32 rows are projected
-        with one float32 BLAS product P32 onto the float32 axes, and the
-        family's ``_decide`` keeps the levels that a margin M32 proves equal
-        to the levels of ``project``'s P; each block's levels are packed
-        before the next block is read. The rows with another entry go to the
-        float64 tier (``_levels64``) after the last block, HASH_BLOCK_ROWS at
-        a time, and their keys replace the packed ones: cast to float64 and
-        projected with one float64 BLAS product P', whose levels are kept
-        where a margin M proves them equal to P's; a row with another entry
-        still is projected again with ``project``. Both margins assume
-        d <= 2^21, as ``distances.prefilter`` does.
+        A batch of fewer than BLAS_HASH_MIN_ROWS rows is hashed with
+        ``project``. A larger one goes through two BLAS tiers t
+        (``_tier_keys``): the float32 tier hashes every row, the float64
+        tier the rows it leaves open, once after its last block, and
+        ``project`` the rows that tier leaves open. A tier casts each block
+        of HASH_BLOCK_ROWS rows to its axes' type, projects it with one BLAS
+        product P_t, and the family's ``_decide`` keeps the levels that a
+        margin M proves equal to those of ``project``'s P; a row with
+        another entry is packed with placeholder levels, which the next
+        tier's keys replace. The margin assumes d <= 2^21, as
+        ``distances.prefilter`` does.
 
-        **The float64 margin.** u = eps / 2, gamma_n = n u / (1 - n u)
-        (``distances._gamma``), and gamma_n + u <= gamma_(n+1). Rows and axes
-        hold float32 values, so each float64 product or square of two
-        coordinates is exact, and nothing over- or underflows. A sum of d
-        such products in any order (einsum's, BLAS's, with or without FMA)
-        is within gamma_d sum |v_i X_i| <= gamma_d |v| |X| of the exact dot
-        product (Higham, Accuracy and Stability of Numerical Algorithms,
-        sec. 3.1), so |P' - P| <= 2 gamma_d |v| |X|. A cached norm n_v
-        (``Dataset.norms``, ``row_norms``: such a sum of squares, then a
+        **The margin.** u = eps / 2, gamma_n = n u / (1 - n u)
+        (``distances._gamma``), and gamma^(t)_n is gamma_n with tier t's
+        unit roundoff: 2^-24 in float32 (gamma'_n), u in float64. Rows and
+        axes hold float32 values. A sum of d products in any order (einsum's,
+        BLAS's, with or without FMA) that neither overflow nor underflow is
+        within gamma^(t)_d sum |v_i X_i| <= gamma^(t)_d |v| |X| of v . X
+        (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1).
+        In float64 each product of two float32 values is exact, and nothing
+        over- or underflows. In float32 an inf or NaN never turns finite
+        again, so a finite P_32 had no overflow, and gradual underflow adds
+        at most 2^-150 per rounding (``distances.prefilter``). So
+        |P_t - P| <= (gamma^(t)_d + gamma_d) |v| |X| + Z_t wherever P_t is
+        finite, with Z_64 = 0 and Z_32 = d 2^-150 (1 + gamma'_d).
+        c_t (``_hash_margin32(d)``, ``_hash_margin(d)``) is 2 (gamma^(t)_d
+        + gamma_d) within three roundings, C = fl(c_t max n_X) over the
+        call's axes, z = ``_underflow_margin(d)`` = d 2^-149 is exact, and
+        each row gets M = fl(fl(n_v C) + z). A cached norm n_v
+        (``Dataset.norms``, ``row_norms``: a float64 sum of squares, then a
         rounded square root) is at least (1 - gamma_(d+1)) |v|, and n_X
-        likewise for |X|. c = ``_hash_margin(d)`` is 2 gamma_(3d+5) within
-        two roundings and M = fl(n_v fl(c n_X)) adds two more, so
-        M >= 2 gamma_(3d+5) (1 - u)^4 (1 - gamma_(d+1))^2 |v| |X| >=
-        2 gamma_(3d+5) (1 - 2 gamma_(d+3)) |v| |X|. Since gamma_(3d+5) >
-        3 gamma_d, and 1 - 2 gamma_(d+3) >= 1/3 for any d with
-        (d + 3) u <= 1/4, M >= 2 gamma_d |v| |X| >= |P' - P|: the margin is
-        about three times the bound it has to meet.
+        likewise for |X|. So M >= 2 (1 - u)^6 (1 - gamma_(d+1))^2
+        (gamma^(t)_d + gamma_d) |v| |X| + (1 - u) z. For d <= 2^21,
+        gamma'_d <= 1/7 and gamma_(d+1) < 2^-31, so 2 (1 - u)^6
+        (1 - gamma_(d+1))^2 >= 1 and (1 - u) z >= Z_t: M >= |P_t - P|
+        wherever P_t is finite. A non-finite P_32 decides nothing.
 
-        **The float32 margin.** gamma'_n is gamma_n with float32's unit
-        roundoff 2^-24. P32's products and sums round to float32, so they
-        can overflow and underflow. An inf or NaN never turns finite again
-        in a sum or product, so a finite P32 had no overflow, and then
-        |P32 - v . X| <= gamma'_d |v| |X| + Z with Z = d 2^-150
-        (1 + gamma'_d), in any order, with or without FMA (gradual
-        underflow adds at most 2^-150 per rounding; derivation in
-        ``distances.prefilter``). So |P32 - P| <= (gamma'_d + gamma_d)
-        |v| |X| + Z. c32 = ``_hash_margin32(d)`` is 2 (gamma'_d + gamma_d)
-        within three roundings, C is the largest fl(c32 n_X) of the call's
-        axes, z = ``_underflow_margin(d)`` = d 2^-149 is exact, and each row
-        gets one margin M32 = fl(fl(n_v C) + z), so M32 >= 2 (1 - u)^6
-        (1 - gamma_(d+1))^2 (gamma'_d + gamma_d) |v| |X| + (1 - u) z. For
-        d <= 2^21, gamma'_d <= 1/7 and gamma_(d+1) < 2^-31, so
-        2 (1 - u)^6 (1 - gamma_(d+1))^2 >= 1 and (1 - u) z >= Z:
-        M32 >= |P32 - P| wherever P32 is finite. A non-finite P32 decides
-        nothing.
-
-        **The decision.** Let Q be P' with M, or a finite P32 with M32. Then
-        Q - M <= P <= Q + M, P is a float64 and rounding is monotone, so
-        fl(Q - M) <= P <= fl(Q + M). Each level is a nondecreasing function
-        of its projection (``+ b``, ``/ w`` and floor for real keys, ``>= 0``
-        for binary bits), so where the levels of fl(Q - M) and fl(Q + M)
-        agree, P has that level too. Real keys' ``_decide`` tests just that
-        on P32, and a difference of non-finite levels (inf - inf, NaN) is
-        not zero, so it decides nothing there. Binary keys' ``_decide``
-        keeps the entries where m < |P32| < inf, m being M32 rounded up to a
-        float32: there P and P32 have the same nonzero sign, and the bit is
-        P32 >= 0. The overflow check of
-        real keys runs on the decided levels (and on the placeholder zeros,
-        which fit), so it raises exactly when it would on ``project``'s. Which rows reach each tier can depend on the
-        BLAS kernel and thread count; the keys cannot.
+        **The decision.** P_t - M <= P <= P_t + M, P is a float64 and
+        rounding is monotone, so fl(P_t - M) <= P <= fl(P_t + M). Each level
+        is a nondecreasing function of its projection (``+ b``, ``/ w`` and
+        floor for real keys, ``>= 0`` for binary bits), so where the levels
+        of fl(P_t - M) and fl(P_t + M) agree, P has that level too. Real
+        keys' ``_decide`` tests just that, and a difference of non-finite
+        levels (inf - inf, NaN) is not zero, so it decides nothing there.
+        Binary keys' ``_decide`` keeps the entries where m < |P_t| < inf, m
+        being M rounded up to a float32: there P and P_t have the same
+        nonzero sign, and the bit is P_t >= 0. The overflow check of real
+        keys runs on the decided levels (and on the placeholder zeros, which
+        fit), so it raises exactly when it would on ``project``'s. Which rows
+        reach each tier can depend on the BLAS kernel and thread count; the
+        keys cannot.
         """
         axes = self._axes64[tables].reshape(-1, self.dim)
-        shape = (-1, len(axes) // self.params.K, self.params.K)
         if len(values) < BLAS_HASH_MIN_ROWS:
-            exact = project(np.asarray(values, dtype=np.float64), axes)
-            return self._pack(self._quantize(exact.reshape(shape), tables))
-        axes32 = self._axes32[tables].reshape(-1, self.dim)
+            return self._project_keys(values, axes, tables)
         norms = self.dataset.norms if values is self.dataset.vectors else row_norms(values)
-        scale = self._margins32[tables].max()
-        blocks, undecided = [], []
-        for lo in range(0, len(values), HASH_BLOCK_ROWS):
-            block = np.asarray(values[lo : lo + HASH_BLOCK_ROWS], dtype=np.float32)
-            margin = norms[lo : lo + HASH_BLOCK_ROWS] * scale
-            margin += self._underflow
-            with np.errstate(all="ignore"):  # a non-finite projection decides nothing
-                levels, decided = self._decide((block @ axes32.T).reshape(shape), margin[:, None, None], tables)
-            rows = np.unique(np.flatnonzero(~decided) // len(axes))
-            levels[rows] = 0  # packed as a placeholder; the float64 tier's keys replace it
-            blocks.append(self._pack(levels))
-            undecided.append(rows + lo)
-        keys = np.concatenate(blocks)
-        del blocks  # before the float64 tier's temporaries
-        undecided = np.concatenate(undecided)
-        for lo in range(0, len(undecided), HASH_BLOCK_ROWS):
-            rows = undecided[lo : lo + HASH_BLOCK_ROWS]
-            keys[rows] = self._pack(self._levels64(values[rows], norms[rows], axes, tables))
+        keys, rows = self._tier_keys(values, norms, self._axes32[tables].reshape(-1, self.dim), _hash_margin32, tables)
+        if len(rows):
+            keys[rows], again = self._tier_keys(values[rows], norms[rows], axes, _hash_margin, tables)
+            if len(again):
+                keys[rows[again]] = self._project_keys(values[rows[again]], axes, tables)
         return keys
 
-    def _levels64(self, values: np.ndarray, norms: np.ndarray, axes: np.ndarray, tables: slice) -> np.ndarray:
-        """``_table_keys``' float64 tier: the (n, L', K) levels of float32
-        rows with norms ``norms`` on the float64 ``axes`` of ``tables``."""
+    def _project_keys(self, values: np.ndarray, axes: np.ndarray, tables: slice) -> np.ndarray:
+        """The key words of ``project``'s values on the float64 ``axes`` of ``tables``."""
+        exact = project(np.asarray(values, dtype=np.float64), axes)
+        return self._pack(self._quantize(exact.reshape(len(values), -1, self.params.K), tables))
+
+    def _tier_keys(self, values: np.ndarray, norms: np.ndarray, axes: np.ndarray, factor, tables: slice):
+        """One BLAS tier of ``_table_keys``: the key words of ``values`` (with
+        norms ``norms``) on ``axes`` of ``tables``, decided behind the
+        margin of ``factor``, with placeholders on the rows it leaves open,
+        and those rows."""
         shape = (-1, len(axes) // self.params.K, self.params.K)
-        rows = values.astype(np.float64)
-        proj = rows @ axes.T
-        margin = norms[:, None] * self._margins[tables].reshape(-1)
-        levels = self._quantize((proj - margin).reshape(shape), tables)
-        undecided = np.flatnonzero(levels != self._quantize((proj + margin).reshape(shape), tables))
-        again = np.unique(undecided // len(axes))
-        if len(again):
-            levels[again] = self._quantize(project(rows[again], axes).reshape(shape), tables)
-        return levels
+        scale = factor(self.dim) * self._axis_norms[tables].max()
+        underflow = _underflow_margin(self.dim)
+        blocks, open_rows = [], []
+        for lo in range(0, len(values), HASH_BLOCK_ROWS):
+            block = np.asarray(values[lo : lo + HASH_BLOCK_ROWS], dtype=axes.dtype)
+            margin = norms[lo : lo + HASH_BLOCK_ROWS] * scale
+            margin += underflow
+            with np.errstate(all="ignore"):  # a non-finite projection decides nothing
+                levels, decided = self._decide((block @ axes.T).reshape(shape), margin[:, None, None], tables)
+            rows = np.unique(np.flatnonzero(~decided) // len(axes))
+            levels[rows] = 0  # packed as a placeholder; the next tier's keys replace it
+            blocks.append(self._pack(levels))
+            open_rows.append(rows + lo)
+        return np.concatenate(blocks), np.concatenate(open_rows)
 
     def _prefix_tables(self, words: np.ndarray, Ks) -> dict[int, BucketTable]:
         """For each K in ``Ks``, the table that an index with K slots builds,

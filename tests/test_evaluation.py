@@ -774,3 +774,11 @@ PINNED_EVALUATION_OUTPUTS = [
 @pytest.mark.parametrize("metric, digest", PINNED_EVALUATION_OUTPUTS)
 def test_evaluation_outputs_are_pinned(metric, digest):
     assert hashlib.sha256(_evaluation_outputs(metric).encode()).hexdigest() == digest
+
+
+def test_contamination_refuses_empty_query_ids():
+    merged = merge_datasets(generate_synthetic(2, 4, 8, 0.1, seed=27), generate_synthetic(2, 4, 8, 0.1, seed=28))
+    for backend in (merged, build_real_index(merged, RealLshParams(L=2, K=1, seed=3))):
+        for ids in ([], np.array([], dtype=np.int64)):
+            with pytest.raises(ValueError, match="^query_ids must be non-empty$"):
+                distractor_contamination(backend, k=3, query_ids=ids)
