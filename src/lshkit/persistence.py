@@ -1,12 +1,14 @@
 """Versioned binary snapshots of built indexes.
 
-Layout, version 2 (little-endian): magic ``LSHIDX``, u16 version, u8 kind
+Layout, version 3 (little-endian): magic ``LSHIDX``, u16 version, u8 kind
 (0 = real, 1 = binary), u32 L, u32 K, f64 w (0 for the binary kind),
 i64 seed, u32 dim, the u64 dataset fingerprint, the hash coefficients as
 f32 (real: the L*K*dim axes, then the L*K offsets; binary: the L*K*dim
 hyperplanes), then the bucket tables as written by :mod:`lshkit.tables`:
 their key width and row count, then per table its sorted keys, CSR offsets
-and member rows as flat arrays.
+and member rows as flat arrays, the offsets and rows as u32 below 2**32 rows.
+``save_index`` writes these arrays straight to the file, one table at a time,
+and builds no copy of the whole payload.
 
 The header is two structured dtypes, and the file is read through the
 bounds-checked ``dataset._Reader`` that also reads fvec files. Coefficients
@@ -21,13 +23,13 @@ dataset row exactly once, ascending within a bucket), that no bytes trail the
 tables, and last, once the file has supplied every coefficient, that they
 equal the draw of the stored parameters. It does not rehash the table keys
 against the coefficients, which would cost a full build. Version 1 files (one
-record per bucket) are no longer read.
+record per bucket) and version 2 files (u64 offsets and rows) are not read.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
+from typing import Iterator
 
 import numpy as np
 
@@ -37,7 +39,7 @@ from .real_lsh import LshIndex, RealLshIndex
 from .tables import TableFormatError, decode, encode
 
 SNAPSHOT_MAGIC = b"LSHIDX"
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 _PREFIX = np.dtype([("magic", "S6"), ("version", "<u2"), ("kind", "u1")])
 _PARAMS = np.dtype([("L", "<u4"), ("K", "<u4"), ("w", "<f8"), ("seed", "<i8"),
@@ -55,14 +57,13 @@ def dataset_fingerprint(ds: Dataset) -> int:
 
 
 def save_index(index: LshIndex, path: str | os.PathLike) -> None:
-    """Write a snapshot atomically (temp file + rename)."""
-    payload = _serialize(index)
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write a snapshot atomically: to a new file beside ``path`` (created
+    under the umask), then renamed over it."""
+    tmp = os.path.join(os.path.dirname(os.fspath(path)), f"{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "xb")  # never an existing file, so a failure unlinks only ours
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+        with fh:
+            fh.writelines(_serialize(index))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -70,16 +71,15 @@ def save_index(index: LshIndex, path: str | os.PathLike) -> None:
         raise
 
 
-def _serialize(index) -> bytes:
+def _serialize(index) -> Iterator[np.ndarray]:
+    """The snapshot of ``index`` as consecutive arrays; ``encode`` makes the tables' one table at a time."""
     p = index.params
-    chunks = [
-        np.array((SNAPSHOT_MAGIC, SNAPSHOT_VERSION, list(FAMILIES).index(index.kind)), _PREFIX).tobytes(),
-        np.array((p.L, p.K, getattr(p, "w", 0.0), p.seed, index.dim,
-                  dataset_fingerprint(index.dataset)), _PARAMS).tobytes(),
-    ]
-    chunks += [values.astype("<f4").tobytes() for values in index.coefficients]
-    chunks.append(encode(index.bucket_tables))
-    return b"".join(chunks)
+    yield np.array((SNAPSHOT_MAGIC, SNAPSHOT_VERSION, list(FAMILIES).index(index.kind)), _PREFIX)
+    yield np.array((p.L, p.K, getattr(p, "w", 0.0), p.seed, index.dim,
+                    dataset_fingerprint(index.dataset)), _PARAMS)
+    for values in index.coefficients:
+        yield np.ascontiguousarray(values, "<f4")
+    yield from encode(index.bucket_tables)
 
 
 def _coefficients(reader: _Reader, count: int) -> np.ndarray:

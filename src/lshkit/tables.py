@@ -13,13 +13,14 @@ whose code does not fit 64 bits is sorted by a stable argsort of its
 bytes. Buckets are listed in order of first appearance, the order in which
 inserting the rows one by one creates them.
 
-Snapshot section (little-endian u64): W, n, then per table B, the B*W key
-words (the family's word type), the B + 1 offsets and the n rows.
+Snapshot section (little-endian): u64 W and n, then per table u64 B, the
+B*W key words (the family's word type), the B + 1 offsets and the n rows,
+both of ``row_type(n)``: u32 below 2**32 rows, else u64.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -159,12 +160,20 @@ def as_dicts(tables: Sequence[BucketTable], ids: np.ndarray, key_of: Callable[[l
     return out
 
 
-def encode(tables: Sequence[BucketTable]) -> bytes:
-    chunks = [np.array([tables[0].words.shape[1], len(tables[0].rows)], dtype="<u8").tobytes()]
+def row_type(n: int) -> str:
+    """The stored type of the offsets and rows of a table over ``n`` rows."""
+    return "<u4" if n < 1 << 32 else "<u8"
+
+
+def encode(tables: Sequence[BucketTable]) -> Iterator[np.ndarray]:
+    """The snapshot section of ``tables`` as consecutive arrays, made one table at a time."""
+    n = len(tables[0].rows)
+    yield np.array([tables[0].words.shape[1], n], dtype="<u8")
     for table in tables:
-        chunks += [np.array([len(table.words)], dtype="<u8").tobytes(), table.words.tobytes(),
-                   table.offsets.astype("<u8").tobytes(), table.rows.astype("<u8").tobytes()]
-    return b"".join(chunks)
+        yield np.array([len(table.words)], dtype="<u8")
+        yield np.ascontiguousarray(table.words)
+        yield table.offsets.astype(row_type(n))
+        yield table.rows.astype(row_type(n))
 
 
 def decode(read: Callable[[int, str], np.ndarray], count: int, width: int, n: int, word_type: str) -> list[BucketTable]:
@@ -184,8 +193,8 @@ def decode(read: Callable[[int, str], np.ndarray], count: int, width: int, n: in
     for t in range(count):
         buckets = int(read(1, "<u8")[0])
         words = np.array(read(buckets * width, word_type).reshape(-1, width))
-        offsets = read(buckets + 1, "<u8").astype(np.int64)
-        rows = read(n, "<u8").astype(np.int64)
+        offsets = read(buckets + 1, row_type(n)).astype(np.int64)
+        rows = read(n, row_type(n)).astype(np.int64)
         if offsets[0] != 0 or offsets[-1] != n or (np.diff(offsets) <= 0).any():
             raise TableFormatError(f"table {t}: bucket offsets do not rise from 0 to {n}")
         if ((rows < 0) | (rows >= n)).any() or (np.bincount(rows, minlength=n) != 1).any():

@@ -1,5 +1,8 @@
 import hashlib
+import os
+import stat
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +18,12 @@ from lshkit import (
     dataset_fingerprint,
     generate_synthetic,
     load_index,
+    save_dataset,
     save_index,
 )
 from lshkit import dataset, persistence
 from lshkit.dataset import FVEC_BLOCK_ROWS, to_fvec_bytes
-from lshkit.tables import BucketTable
+from lshkit.tables import BucketTable, row_type
 
 
 def make_indexes(seed=5):
@@ -44,13 +48,13 @@ def test_round_trip_preserves_query_outputs(tmp_path):
                 assert loaded.query(q, k=6, metric=metric) == index.query(q, k=6, metric=metric)
 
 
-# sha256 of the v2 bytes that save_index writes for two fixed indexes over
+# sha256 of the v3 bytes that save_index writes for two fixed indexes over
 # generate_synthetic(20, 30, 33, 0.4, 3); any change to the writer's bytes fails
 PINNED_SNAPSHOTS = [
     (build_real_index, RealLshParams(L=5, K=3, w=2.5, seed=11),
-     "ce66f160e1d0a7d0fcd34a50236713d78315cc0ba5692c28c939b17d369ef889"),
+     "c25a3924f29b295acaeefce83e6ecc1342aecd1ca31de6895961480a0785b685"),
     (build_binary_index, BinaryLshParams(L=4, K=64, seed=-7),
-     "7aa4a981b106105f2023b0f35dc6f35e2cc4430d20cacc6ecd2d84e27dac09ba"),
+     "81ce7eda4209da16c4482a0ccf6fca3712af8a10650d87996cc851637737708b"),
 ]
 
 
@@ -456,3 +460,115 @@ def test_cached_fingerprints_still_tell_datasets_apart(tmp_path):
     with pytest.raises(SnapshotError, match="fingerprint"):
         load_index(path, other)
     assert load_index(path, twin).tables == real.tables
+
+
+# ---------------------------------------------------------------------------
+# version 3: 32-bit table offsets and rows, written straight from the arrays
+# ---------------------------------------------------------------------------
+
+
+def test_version_2_rejected(tmp_path):
+    ds, real, _ = make_indexes()
+    path = tmp_path / "r.idx"
+    save_index(real, path)
+    patched(path, 6, "<H", 2)
+    with pytest.raises(SnapshotError, match="unsupported snapshot version 2"):
+        load_index(path, ds)
+
+
+def test_row_type_is_u32_below_2_to_the_32_rows():
+    assert row_type(1) == row_type(2**32 - 1) == "<u4"
+    assert row_type(2**32) == row_type(2**40) == "<u8"
+
+
+@pytest.mark.parametrize("kind", ["real", "binary"])
+def test_each_table_stores_32_bit_offsets_and_rows(tmp_path, kind):
+    ds, real, binary = make_indexes()
+    index = real if kind == "real" else binary
+    path = tmp_path / "idx"
+    save_index(index, path)
+    n, width = len(ds), index.bucket_tables[0].words.shape[1]
+    tables = sum(8 + 8 * len(t.words) * width + 4 * (len(t.words) + 1) + 4 * n for t in index.bucket_tables)
+    assert path.stat().st_size == table_section(index) + 16 + tables
+
+
+@pytest.mark.parametrize("kind", ["real", "binary"])
+def test_loaded_tables_equal_the_built_ones_in_value_and_dtype(tmp_path, kind):
+    ds, real, binary = make_indexes()
+    index = real if kind == "real" else binary
+    path = tmp_path / "idx"
+    save_index(index, path)
+    for built, loaded in zip(index.bucket_tables, load_index(path, ds).bucket_tables, strict=True):
+        for name in ("words", "offsets", "rows"):
+            a, b = getattr(built, name), getattr(loaded, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_snapshot_and_fvec_files_get_the_same_mode_under_the_umask(tmp_path):
+    ds, real, _ = make_indexes()
+    old = os.umask(0o022)
+    try:
+        save_index(real, tmp_path / "r.idx")
+        save_dataset(ds, tmp_path / "d.fvec")
+    finally:
+        os.umask(old)
+    modes = {stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("r.idx", "d.fvec")}
+    assert modes == {0o644}
+
+
+def test_failed_save_removes_its_temp_file_and_keeps_the_old_snapshot(tmp_path, monkeypatch):
+    ds, real, binary = make_indexes()
+    path = tmp_path / "idx"
+    save_index(real, path)
+    before = path.read_bytes()
+    encode = persistence.encode
+
+    def failing(tables):
+        yield from encode(tables[:1])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(persistence, "encode", failing)
+    with pytest.raises(OSError, match="disk full"):
+        save_index(binary, path)
+    assert [p.name for p in tmp_path.iterdir()] == ["idx"]
+    assert path.read_bytes() == before
+
+
+def test_save_never_deletes_a_file_that_holds_its_temp_name(tmp_path, monkeypatch):
+    ds, real, _ = make_indexes()
+    monkeypatch.setattr(os, "urandom", lambda size: bytes(size))
+    path = tmp_path / "idx"
+    taken = tmp_path / f"{bytes(8).hex()}.tmp"
+    taken.write_bytes(b"someone else's")
+    with pytest.raises(FileExistsError):
+        save_index(real, path)
+    assert taken.read_bytes() == b"someone else's"
+    assert not path.exists()
+
+
+def test_save_to_a_file_name_of_the_longest_length(tmp_path):
+    ds, real, _ = make_indexes()
+    path = tmp_path / ("i" * 255)  # NAME_MAX on common file systems
+    save_index(real, path)
+    assert load_index(path, ds).tables == real.tables
+
+
+@pytest.mark.parametrize("kind", ["real", "binary"])
+def test_save_holds_no_copy_of_the_whole_snapshot(tmp_path, kind):
+    """A save writes its arrays one table at a time: its peak traced
+    allocation over a 20k-row, L = 10 index stays below a quarter of the
+    file (building the payload first held twice the file)."""
+    ds = generate_synthetic(100, 200, 16, 1.0, seed=2)
+    if kind == "real":
+        index = build_real_index(ds, RealLshParams(L=10, K=3, w=4.0, seed=1))
+    else:
+        index = build_binary_index(ds, BinaryLshParams(L=10, K=12, seed=1))
+    dataset_fingerprint(ds)  # cached once per dataset; a save would otherwise hash it here
+    path = tmp_path / "idx"
+    tracemalloc.start()
+    try:
+        save_index(index, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 4
