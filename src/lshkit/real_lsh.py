@@ -14,6 +14,8 @@ shows equal to ``project``'s (``LshIndex._table_keys``).
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +48,25 @@ BLAS_HASH_MIN_ROWS = 64
 # 2,048 and 97-131 at 4,096 (2-vCPU x86-64 VM, four calls each in a quiet
 # phase)
 HASH_BLOCK_ROWS = 768
+# a BLAS tier of _table_keys over at least this many rows x axes splits its
+# block loop into one contiguous run per usable CPU, each on its own thread
+# (numpy releases the GIL in the BLAS product, the decision and the packing).
+# On two CPUs a split call alone is faster from 0.5M entries up (0.65-0.84 of
+# serial; 1.23 at 100k x 12 axes), but a benchmark process gains nothing
+# below the gate and pays for the worker threads' malloc arenas: ungated, the
+# sweep benchmark (20k x 24 build, 20k x 64 grid) read build_s +2-7%,
+# peak_rss_mb +8-15% and setup_s up to twice the gated one. The serve
+# benchmark's 100k x 120-axis build (12M entries) splits: build_s
+# 0.154 -> 0.118 s (2-vCPU x86-64 VM, one BLAS thread)
+THREAD_HASH_MIN_ENTRIES = 4_000_000
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask), read per call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
 
 
 def check_params(params) -> None:
@@ -235,6 +256,14 @@ class LshIndex:
         fit), so it raises exactly when it would on ``project``'s. Which rows
         reach each tier can depend on the BLAS kernel and thread count; the
         keys cannot.
+
+        **Threads.** A tier call of at least THREAD_HASH_MIN_ENTRIES rows x
+        axes hashes its blocks on up to one thread per usable CPU
+        (``_tier_keys``). Each row's decision and key are its own, so the
+        keys, and the tables, snapshots and every output made from them, do
+        not depend on the thread count. The BLAS thread count is not
+        touched, and no option sets the split: a process whose CPU affinity
+        allows one CPU (``taskset -c 0``) hashes serially.
         """
         axes = self._axes64[tables].reshape(-1, self.dim)
         if len(values) < BLAS_HASH_MIN_ROWS:
@@ -256,21 +285,45 @@ class LshIndex:
         """One BLAS tier of ``_table_keys``: the key words of ``values`` (with
         norms ``norms``) on ``axes`` of ``tables``, decided behind the
         margin of ``factor``, with placeholders on the rows it leaves open,
-        and those rows."""
+        and those rows.
+
+        A call of at least THREAD_HASH_MIN_ENTRIES rows x axes splits its
+        blocks into one contiguous run per usable CPU (``_usable_cpus``), up
+        to one run per block: the first on the calling thread, each other on
+        a thread of a pool that is joined before the call returns. The runs'
+        keys and open rows are joined in run order, and each row's decision
+        is its own, so the result does not depend on the thread count. The
+        BLAS thread count is not touched, and a process whose CPU affinity
+        allows one CPU (``taskset -c 0``) hashes on the calling thread alone.
+        A smaller call runs one loop over its blocks on the calling thread."""
         shape = (-1, len(axes) // self.params.K, self.params.K)
         scale = factor(self.dim) * self._axis_norms[tables].max()
         underflow = _underflow_margin(self.dim)
-        blocks, open_rows = [], []
-        for lo in range(0, len(values), HASH_BLOCK_ROWS):
-            block = np.asarray(values[lo : lo + HASH_BLOCK_ROWS], dtype=axes.dtype)
-            margin = norms[lo : lo + HASH_BLOCK_ROWS] * scale
-            margin += underflow
-            with np.errstate(all="ignore"):  # a non-finite projection decides nothing
-                levels, decided = self._decide((block @ axes.T).reshape(shape), margin[:, None, None], tables)
-            rows = np.unique(np.flatnonzero(~decided) // len(axes))
-            levels[rows] = 0  # packed as a placeholder; the next tier's keys replace it
-            blocks.append(self._pack(levels))
-            open_rows.append(rows + lo)
+
+        def run(starts: range) -> list:
+            """Each block's packed keys and open rows, for the blocks at ``starts``."""
+            done = []
+            for lo in starts:
+                block = np.asarray(values[lo : lo + HASH_BLOCK_ROWS], dtype=axes.dtype)
+                margin = norms[lo : lo + HASH_BLOCK_ROWS] * scale
+                margin += underflow
+                with np.errstate(all="ignore"):  # a non-finite projection decides nothing
+                    levels, decided = self._decide((block @ axes.T).reshape(shape), margin[:, None, None], tables)
+                rows = np.unique(np.flatnonzero(~decided) // len(axes))
+                levels[rows] = 0  # packed as a placeholder; the next tier's keys replace it
+                done.append((self._pack(levels), rows + lo))
+            return done
+
+        starts = range(0, len(values), HASH_BLOCK_ROWS)
+        runs = min(_usable_cpus(), len(starts)) if len(values) * len(axes) >= THREAD_HASH_MIN_ENTRIES else 1
+        if runs == 1:
+            done = run(starts)
+        else:
+            parts = [starts[len(starts) * i // runs : len(starts) * (i + 1) // runs] for i in range(runs)]
+            with ThreadPoolExecutor(runs - 1) as pool:
+                others = [pool.submit(run, part) for part in parts[1:]]
+                done = run(parts[0]) + [pair for other in others for pair in other.result()]
+        blocks, open_rows = zip(*done)
         return np.concatenate(blocks), np.concatenate(open_rows)
 
     def _prefix_tables(self, words: np.ndarray, Ks) -> dict[int, BucketTable]:
