@@ -190,34 +190,42 @@ def _underflow_margin(d: int) -> float:
 
 def _score_bounds(matrix: np.ndarray, norms: np.ndarray, q: np.ndarray, metric: str):
     """(A - M, A + M) of every row, the bounds on its kernel distance (S for
-    euclidean) that prefilter derives, with -inf and +inf where A + M is not
-    finite; None for an all-zero cosine query, which the kernel scores 1
-    against every row."""
+    euclidean) that prefilter derives, from one product ``matrix @ q``;
+    None for an all-zero cosine query, which the kernel scores 1 against
+    every row."""
     q64 = np.asarray(q, dtype=np.float64)
     qq = float(q64 @ q64)
-    cosine = check_metric(metric) == "cosine"
-    if cosine and qq == 0.0:
+    if check_metric(metric) == "cosine" and qq == 0.0:
         return None
-    d, nq = len(q64), np.sqrt(qq)
+    with np.errstate(all="ignore"):  # inf and NaN dots and scores get the widest bounds
+        return _dot_bounds(matrix @ q, norms, qq, len(q64), metric)
+
+
+def _dot_bounds(dots: np.ndarray, norms: np.ndarray, qq, d: int, metric: str):
+    """(A - M, A + M) of every row from its float32 dot product with the
+    query (``dots``, in any summation order), its cached norm and the
+    query's float64 q . q (``qq``: one value, or one per row, nonzero for
+    cosine), with -inf and +inf where A + M is not finite; ``_score_bounds``
+    for one query, ``evaluation.evaluate_grid`` for a block of them. Callers
+    silence floating-point warnings: they only name rows that are kept."""
+    nq = np.sqrt(qq)
     z = _underflow_margin(d)
-    with np.errstate(all="ignore"):  # inf and NaN scores get the widest bounds below
-        dots = matrix @ q
-        if cosine:
-            score = np.divide(dots, norms)  # 0 / 0 on a zero row: NaN, kept
-            score /= nq
-            np.subtract(1.0, score, out=score)
-            margin = np.divide(z / nq, norms)
-            margin += _cosine_margin(d)
-        else:
-            score = np.multiply(dots, -2.0, dtype=np.float64)
-            score += norms * norms + qq
-            margin = np.where(norms > 0, norms, np.inf)  # the norms, until scaled below
-            margin += nq
-            margin *= margin
-            margin *= _euclidean_margin(d)
-            margin += 2 * z
-        upper = score + margin
-        score -= margin
+    if metric == "cosine":
+        score = np.divide(dots, norms)  # 0 / 0 on a zero row: NaN, kept
+        score /= nq
+        np.subtract(1.0, score, out=score)
+        margin = np.divide(z / nq, norms)
+        margin += _cosine_margin(d)
+    else:
+        score = np.multiply(dots, -2.0, dtype=np.float64)
+        score += norms * norms + qq
+        margin = np.where(norms > 0, norms, np.inf)  # the norms, until scaled below
+        margin += nq
+        margin *= margin
+        margin *= _euclidean_margin(d)
+        margin += 2 * z
+    upper = score + margin
+    score -= margin
     wide = ~np.isfinite(upper)
     upper[wide] = np.inf
     score[wide] = -np.inf
@@ -227,7 +235,7 @@ def _score_bounds(matrix: np.ndarray, norms: np.ndarray, q: np.ndarray, metric: 
 def prefilter(matrix: np.ndarray, norms: np.ndarray, q: np.ndarray, k: int, metric: str):
     """The rows of ``matrix`` whose kernel distance to ``q`` can be among the
     k smallest: an ascending row array, or ``slice(None)`` for every row.
-    ``_score_bounds`` gives each row's A - M and A + M, which
+    ``_dot_bounds`` gives each row's A - M and A + M, which
     ``evaluation.evaluate_grid`` also cuts with.
 
     ``matrix`` holds float32 rows (``Dataset.vectors``; float64 rows of
@@ -239,7 +247,9 @@ def prefilter(matrix: np.ndarray, norms: np.ndarray, q: np.ndarray, k: int, metr
     kernel scores every row 1).
 
     **The cut.** One BLAS product ``matrix @ q`` gives the dot products s,
-    in float32 for float32 rows, and every later step is float64. Each row
+    in float32 for float32 rows, and every later step is float64 (the grid
+    takes s from one float32 matrix product for a block of queries; the
+    bounds below hold for a dot product summed in any order). Each row
     gets a score A: cosine ``A = 1 - s / (|x| |q|)``, euclidean
     ``A = |x|^2 + |q|^2 - 2 s``, compared with S, the kernel's squared
     distance before its square root. Let |A - D| <= M on every row (D the

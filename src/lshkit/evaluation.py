@@ -23,13 +23,21 @@ import numpy as np
 from .binary_lsh import FAMILIES
 from .dataset import Dataset, child_rng
 from .distances import (
-    PREFILTER_MIN_ROWS, _score_bounds, as_integer, check_k, check_metric, distances_to, rank_top_k,
+    PREFILTER_MIN_ROWS, _dot_bounds, as_integer, check_k, check_metric, distances_to,
 )
-from .exact import QueryStats, knn_exact
+from .exact import knn_exact
 from .real_lsh import DEFAULT_WIDTH, LshIndex, RealLshIndex
 from .tables import distinct, label_majorities
 
 STREAM_HOLDOUT = 2
+
+# Queries per block of evaluate_grid, which bound its loop's memory. At 20k x
+# 128 rows and a 4x3 grid a block takes about 0.19 MB per query (tracemalloc):
+# 9.7 MB at 50 queries stays under the 20.8 MB the rest of the grid peaks at,
+# while 100 queries in one block raised that peak to 27.9 MB. Fewer queries
+# per block cost time: the float32 product is 4.1 ms for 50 queries against
+# 3.0 ms for 32 (x86-64, one BLAS thread).
+GRID_BLOCK_QUERIES = 50
 
 SWEEP_CSV_HEADER = (
     "L,K,mAP,IE,avg_purity,std_purity,num_buckets,num_items,avg_per_bucket,std_per_bucket"
@@ -266,34 +274,56 @@ class QueryOutcome:
         return self.seq_cost / self.charged_cost
 
 
-def _relevant(ds: Dataset, row: int) -> set[int]:
-    """The class members of storage row ``row`` but itself; ValueError when none."""
-    query_id = int(ds.ids[row])
-    relevant = {int(i) for i in ds.class_ids(ds.label_ids[row])} - {query_id}
-    if not relevant:
-        raise ValueError(f"query {query_id}: its class has no other member")
-    return relevant
+def _members(ds: Dataset, rows: np.ndarray) -> np.ndarray:
+    """The number of other class members of each storage row; ValueError
+    naming the first row that has none."""
+    others = np.bincount(ds.label_ids, minlength=len(ds.labels))[ds.label_ids[rows]] - 1
+    if not others.all():
+        raise ValueError(f"query {int(ds.ids[rows[np.argmin(others)]])}: its class has no other member")
+    return others
 
 
-def _member_outcome(ds: Dataset, row: int, relevant: set[int], results, stats: QueryStats, k: int) -> QueryOutcome:
-    """The outcome of storage row ``row``'s top k + 1 ``results``: drop the
-    member, keep k, and charge at least 1 against a scan of every row."""
-    query_id = int(ds.ids[row])
-    ranked = [rid for rid, _ in results if rid != query_id][:k]
-    raw = stats.distance_computations
-    return QueryOutcome(
-        query_id=query_id,
-        ap=average_precision(ranked, relevant),
-        seq_cost=len(ds),
-        index_cost=raw,
-        charged_cost=max(1, raw),
-        empty_candidates=stats.candidates_examined == 0,
-    )
+def _ranked_outcomes(ds: Dataset, rows: np.ndarray, owner, found, dists, computed, examined, k: int):
+    """The QueryOutcome of each storage row ``rows[i]`` from its candidates,
+    the rows ``found[j]`` with ``owner[j] == i`` at kernel distances
+    ``dists[j]``: rank them as rank_top_k does, drop the member and keep k
+    (rank_top_k's top k + 1 less the member, else its first k); charge
+    ``computed[i]`` distance computations, at least 1, against a scan of
+    every row, and flag ``examined[i] == 0`` as empty. AP adds hits / rank
+    one rank at a time, left to right, and divides by the number of other
+    class members, as average_precision does, so every bit agrees with it."""
+    others = _members(ds, rows)
+    order = np.lexsort((ds.ids[found], dists, owner))
+    owner, found = owner[order], found[order]
+    other = found != rows[owner]
+    owner, found = owner[other], found[other]
+    sizes = np.bincount(owner, minlength=len(rows))
+    rank = np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    top = rank < k
+    owner, found, rank = owner[top], found[top], rank[top]
+    hit = np.zeros((len(rows), k), dtype=bool)
+    hit[owner, rank] = ds.label_ids[found] == ds.label_ids[rows[owner]]
+    gain = np.cumsum(hit, axis=1) / np.arange(1, k + 1)
+    gain[~hit] = 0.0
+    acc = np.zeros(len(rows))
+    for column in gain.T:
+        acc += column
+    computed = np.asarray(computed, dtype=np.int64)
+    fields = ds.ids[rows], acc / others, np.full(len(rows), len(ds)), computed, np.maximum(computed, 1), examined == 0
+    return [QueryOutcome(*values) for values in zip(*(np.asarray(f).tolist() for f in fields))]
 
 
-def _member_outcomes(search: Callable, ds: Dataset, rows, k: int, metric: str) -> list[QueryOutcome]:
-    """The member outcome of each storage row, searched with ``search``."""
-    return [_member_outcome(ds, r, _relevant(ds, r), *search(ds.vectors[r], k + 1, metric), k) for r in rows]
+def _member_outcomes(search: Callable, ds: Dataset, rows: np.ndarray, k: int, metric: str) -> list[QueryOutcome]:
+    """The member outcome of each storage row, searched with ``search`` for
+    its top k + 1."""
+    _members(ds, rows)
+    answers = [search(ds.vectors[r], k + 1, metric) for r in rows]
+    found = ds.rows_of([rid for results, _ in answers for rid, _ in results])
+    dists = np.array([dist for results, _ in answers for _, dist in results])
+    owner = np.repeat(np.arange(len(rows)), [len(results) for results, _ in answers])
+    computed = [stats.distance_computations for _, stats in answers]
+    examined = np.array([stats.candidates_examined for _, stats in answers])
+    return _ranked_outcomes(ds, rows, owner, found, dists, computed, examined, k)
 
 
 def _report(L: int, K: int, outcomes: Sequence[QueryOutcome], bucket_stats: BucketStats) -> EvalReport:
@@ -334,6 +364,103 @@ def run_config(
     return _report(0, 0, outcomes, compute_bucket_stats(())), outcomes
 
 
+def _block_candidates(hits: dict, lo: int, hi: int, n: int):
+    """The candidates of queries lo..hi-1 (counted from lo) from their
+    bucket rows per K and table (``hits``, CSR per table), by one sort of
+    (query, row, K, table) codes: the query and row of each entry of their
+    union over every K, by query and ascending row; per K, the first table
+    that holds each entry (``tables`` where none does); and per K the
+    (tables, queries) running sums of bucket sizes over the tables."""
+    Ks, tables = len(hits), len(next(iter(hits.values())))
+    row_bits, K_bits, table_bits = ((m - 1).bit_length() for m in (n, Ks, tables))
+    codes, computed = [], {}
+    for j, (K, per_table) in enumerate(hits.items()):
+        sizes = []
+        for t, (members, bounds) in enumerate(per_table):
+            size = np.diff(bounds[lo : hi + 1])
+            owner = np.repeat(np.arange(hi - lo), size)
+            codes.append(((owner << row_bits | members[bounds[lo] : bounds[hi]]) << K_bits | j) << table_bits | t)
+            sizes.append(size)
+        computed[K] = np.cumsum(sizes, axis=0)
+    codes = np.sort(np.concatenate(codes))
+    runs = codes >> table_bits
+    first = np.ones(len(codes), dtype=bool)  # of each (query, row, K)
+    first[1:] = runs[1:] != runs[:-1]
+    codes, runs = codes[first], runs[first]
+    pairs = runs >> K_bits
+    starts = np.flatnonzero(np.diff(pairs, prepend=-1))
+    entry = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(pairs))))
+    at = np.full((Ks, len(starts)), tables, dtype=np.min_scalar_type(tables))
+    at.ravel()[(runs & (1 << K_bits) - 1) * len(starts) + entry] = codes & (1 << table_bits) - 1
+    pairs = pairs[starts]
+    return pairs >> row_bits, pairs & (1 << row_bits) - 1, dict(zip(hits, at)), computed
+
+
+def _cut_dots(vectors: np.ndarray, queries: np.ndarray, owner: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``vectors[rows[j]] . queries[owner[j]]`` in float32, from one
+    product of the rows the queries touch with the queries, or of all of
+    ``vectors`` when they touch more than half of it."""
+    touched = np.zeros(len(vectors), dtype=bool)
+    touched[rows] = True
+    if 2 * np.count_nonzero(touched) <= len(vectors):
+        touched = np.flatnonzero(touched)
+        vectors, rows = vectors[touched], np.searchsorted(touched, rows)
+    return (vectors @ queries.T).ravel()[rows * len(queries) + owner]
+
+
+def _grid_block(ds: Dataset, block: np.ndarray, candidates: tuple, cells: list, k: int, metric: str) -> dict:
+    """The outcomes of each cell for the query rows ``block``, from their
+    ``_block_candidates``."""
+    owner, found, first, computed = candidates
+    count = len(block)
+    ends = np.searchsorted(owner, np.arange(count + 1))
+    sizes = np.diff(ends)
+    queries = ds.vectors[block]
+    q64 = queries.astype(np.float64)
+    qq = np.einsum("ij,ij->i", q64, q64)
+    cut = sizes >= PREFILTER_MIN_ROWS
+    if metric == "cosine":
+        cut &= qq > 0.0  # the kernel scores an all-zero query 1 against every row
+    lower, upper = np.full(len(owner), -np.inf), np.full(len(owner), np.inf)
+    if cut.any():
+        at = np.flatnonzero(np.repeat(cut, sizes))
+        index = np.repeat(np.arange(np.count_nonzero(cut)), sizes[cut])
+        with np.errstate(all="ignore"):  # inf and NaN dots and scores get the widest bounds
+            dots = _cut_dots(ds.vectors, queries[cut], index, found[at])
+            lower[at], upper[at] = _dot_bounds(dots, ds.norms[found[at]], qq[cut][index], ds.dim, metric)
+        # by query, then by A + M; a stable sort of owners of up to 16 bits is a radix sort
+        order = np.argsort(upper)
+        order = order[np.argsort(owner[order].astype(np.min_scalar_type(count)), kind="stable")]
+        by_upper, firsts = upper[order], {K: first[K][order] for K in first}
+
+    kept, scored = {}, np.zeros(len(owner), dtype=bool)
+    for L, K in cells:
+        at = np.flatnonzero(first[K] < L)
+        examined = np.diff(np.searchsorted(at, ends))
+        take = cut & (examined > k + 1)
+        if take.any():  # each query's cut: the (k + 1)-th smallest A + M of its cell
+            limit = np.full(count, np.inf)
+            limit[take] = by_upper[firsts[K] < L][(np.cumsum(examined) - examined)[take] + k]
+            at = at[lower[at] <= np.repeat(limit, examined)]
+        scored[at] = True
+        kept[L, K] = at, computed[K][L - 1], examined
+
+    dists = np.empty(len(owner))
+    at = np.flatnonzero(scored)
+    bounds = np.searchsorted(owner[at], np.arange(count + 1))
+    for i in range(count):
+        part = at[bounds[i] : bounds[i + 1]]
+        if len(part):
+            dists[part] = distances_to(ds.vectors[found[part]], queries[i], metric)
+    # every cell in one ranking: query i of the c-th cell is owner c * count + i
+    ats, computed, examined = zip(*kept.values())
+    owners = np.concatenate([c * count + owner[at] for c, at in enumerate(ats)])
+    at = np.concatenate(ats)
+    computed, examined = np.concatenate(computed), np.concatenate(examined)
+    outcomes = _ranked_outcomes(ds, np.tile(block, len(kept)), owners, found[at], dists[at], computed, examined, k)
+    return {cell: outcomes[c * count : (c + 1) * count] for c, cell in enumerate(kept)}
+
+
 def evaluate_grid(
     ds: Dataset,
     query_ids: Sequence[int],
@@ -355,15 +482,26 @@ def evaluate_grid(
     Each (table, K) table keeps its bucket statistics and the queries'
     buckets, then is dropped.
 
-    Each query's candidate union is scored once with prefilter's bounds
-    (``distances._score_bounds``). A cell keeps the rows of its candidates
-    whose A - M is at most the (k + 1)-th smallest A + M among them: by
-    prefilter's proof that keeps every row rank_top_k can return for the
-    cell, since a row's kernel distance does not depend on the rows scored
-    with it. The kernel scores the kept rows of all cells once, each cell
-    ranks its own, and QueryStats count its uncut candidates; as in
-    prefilter, a union below PREFILTER_MIN_ROWS rows is not cut. The
-    results are those of building and querying every cell's own index.
+    The queries then go through in blocks of GRID_BLOCK_QUERIES, over flat
+    arrays. One sort of (query, row, K, table) codes lists each query's
+    candidate rows once, with the first table that holds them per K, so
+    cell (L, K) is the mask ``first < L``; running sums of bucket sizes
+    over the tables give its QueryStats. The block's candidate union is
+    scored once with prefilter's bounds (``distances._dot_bounds``), from
+    one float32 product of the rows its queries touch (all of ``vectors``
+    when they touch most of it) with the queries that take a cut; as in
+    prefilter, a query whose union has fewer than PREFILTER_MIN_ROWS rows,
+    or an all-zero cosine query, takes none and no product is made for it.
+    A cell keeps a query's candidates whose A - M is at most the (k + 1)-th
+    smallest A + M among them, read from one order of the block by query
+    and A + M: by prefilter's proof that keeps every row rank_top_k can
+    return for the cell, since a row's kernel distance does not depend on
+    the rows scored with it. The kernel scores each query's rows that some
+    cell kept in one call, and ``_ranked_outcomes`` ranks every cell of the
+    block at once. Which rows the cut keeps can depend on how BLAS rounds
+    the product; each distance, rank and AP bit, and so every report,
+    outcome and warning, is that of building and querying every cell's
+    own index.
     """
     family = _family(index_kind)
     if len(query_ids) == 0:
@@ -377,7 +515,7 @@ def evaluate_grid(
         family.make_params(L, K, w, seed)
     top = family.with_coefficients(ds, family.make_params(max(L_values), max(K_values), w, seed))
     rows = ds.rows_of(query_ids)
-    relevant = [_relevant(ds, row) for row in rows]
+    _members(ds, rows)
     Ks = sorted(set(K_values))
 
     # per K, per table: the queries' bucket rows, and each bucket's
@@ -392,28 +530,11 @@ def evaluate_grid(
 
     cells = list(dict.fromkeys(grid))
     outcomes: dict[tuple[int, int], list[QueryOutcome]] = {cell: [] for cell in cells}
-    for i, row in enumerate(rows):
-        parts = {K: [members[bounds[i] : bounds[i + 1]] for members, bounds in hits[K]] for K in Ks}
-        union = distinct(np.concatenate([p for K in Ks for p in parts[K]]))
-        q = ds.vectors[row]
-        cut = None
-        if len(union) >= PREFILTER_MIN_ROWS:
-            cut = _score_bounds(ds.vectors[union], ds.norms[union], q, metric)
-        kept, scored = {}, np.zeros(len(union), dtype=bool)
-        for L, K in cells:
-            multiset = np.concatenate(parts[K][:L])
-            at = np.searchsorted(union, distinct(multiset))
-            stats = QueryStats(distance_computations=len(multiset), candidates_examined=len(at))
-            if cut is not None and len(at) > k + 1:
-                lower, upper = cut[0][at], cut[1][at]
-                at = at[lower <= np.partition(upper, k)[k]]
-            scored[at] = True
-            kept[L, K] = at, stats
-        dists = np.empty(len(union))
-        dists[scored] = distances_to(ds.vectors[union[scored]], q, metric)
-        for (L, K), (at, stats) in kept.items():
-            results = rank_top_k(ds.ids[union[at]], dists[at], k + 1)
-            outcomes[L, K].append(_member_outcome(ds, row, relevant[i], results, stats, k))
+    for lo in range(0, len(rows), GRID_BLOCK_QUERIES):
+        block = rows[lo : lo + GRID_BLOCK_QUERIES]
+        candidates = _block_candidates(hits, lo, lo + len(block), len(ds))
+        for cell, found in _grid_block(ds, block, candidates, cells, k, metric).items():
+            outcomes[cell] += found
 
     reports = {}
     for L, K in cells:
@@ -524,14 +645,14 @@ def class_analysis(
     search = _resolve(backend, ds)
     if query_ids is not None and len(query_ids) == 0:
         raise ValueError("query_ids must be non-empty")
-    rows = np.arange(len(ds)) if query_ids is None else np.unique(ds.rows_of(query_ids))
+    rows = np.arange(len(ds)) if query_ids is None else distinct(ds.rows_of(query_ids))
     sizes = np.bincount(ds.label_ids, minlength=len(ds.labels))
     if (sizes == 1).any():
         raise ValueError(f"class {ds.labels[int(np.argmax(sizes == 1))]!r} has fewer than 2 samples")
     ids, labels = ds.ids[rows], ds.label_ids[rows]
     aps = np.array([o.ap for o in _member_outcomes(search, ds, rows, k, metric)])
     reports: list[ClassReport] = []
-    for label_id in np.unique(labels):
+    for label_id in distinct(labels):
         values, queries = aps[labels == label_id], ids[labels == label_id]
         max_ap = float(values.max())
         min_ap = float(values.min())

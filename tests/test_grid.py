@@ -7,6 +7,7 @@ warnings.
 """
 
 import re
+import tracemalloc
 import warnings
 from dataclasses import astuple
 
@@ -27,6 +28,7 @@ from lshkit import (
     select_queries,
     sweep_csv_text,
 )
+from lshkit import evaluation
 from lshkit.binary_lsh import hyperplane_bit
 from lshkit.distances import PREFILTER_MIN_ROWS, _score_bounds, distances_to, rank_top_k
 from lshkit.evaluation import make_index
@@ -318,3 +320,220 @@ def test_table_keys_equal_per_slot_hashes(seed):
             bits = "".join(str(hyperplane_bit(binary.hyperplane(t, j), v)) for j in range(K))
             assert real_keys[row, t].tolist() == hashes == list(real.bucket_key(t, v))
             assert int(binary_keys[row, t, 0]) == int(bits, 2) == binary.signature(t, v)
+
+
+# ---------------------------------------------------------------------------
+# The query blocks: evaluate_grid runs GRID_BLOCK_QUERIES queries at a time
+# through one candidate sort, one cut product, one segmented cut and one
+# ranking. Blocks of 1, 2 and 3 queries split every query list below.
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(params=[1, 2, 3])
+def block_queries(request, monkeypatch):
+    monkeypatch.setattr(evaluation, "GRID_BLOCK_QUERIES", request.param)
+    return request.param
+
+
+def one_bucket(n, dim, seed, spread=1e-3, zero_rows=()):
+    """n rows around one direction, in 3 classes: every real key at w = 1e8
+    and, for the seeds used, every binary key is the same, so each
+    candidate set is the whole dataset, with near ties."""
+    rng = np.random.default_rng(seed)
+    vectors = (1 + rng.random((n, 1))) * (np.ones(dim) + spread * rng.standard_normal((n, dim)))
+    vectors[list(zero_rows)] = 0.0
+    return Dataset(dim, ["a", "b", "c"], rng.permutation(n) * 3 + 2, np.arange(n) % 3, vectors.astype(np.float32))
+
+
+def union_size(ds, kind, qid, L, K, w, seed):
+    ids, _ = make_index(kind, ds, L, K, w, seed).candidates(ds.get(qid).values)
+    return len(ids)
+
+
+@pytest.mark.parametrize("kind", ["real", "binary"])
+def test_blocked_grid_with_repeated_queries(kind, block_queries):
+    ds = clustered(4, 60, 8, seed=9)
+    picked = select_queries(ds, seed=9, queries_per_class=2)
+    queries = [picked[0], picked[1], picked[0], picked[0], picked[5], picked[1], picked[7]]
+    w, K_values = 3.0, [1, 2] if kind == "real" else [3, 4]
+    assert_matches_oracle(ds, queries, kind, [1, 3], K_values, w=w, seed=4, k=4)
+    sizes = [union_size(ds, kind, qid, 3, K_values[0], w, 4) for qid in queries]
+    assert min(sizes) < PREFILTER_MIN_ROWS <= max(sizes)  # some queries cut, some do not
+
+
+@pytest.mark.parametrize("kind", ["real", "binary"])
+def test_zero_cosine_query_in_a_block_that_cuts(kind, block_queries):
+    """The all-zero query takes no cut (the kernel scores it 1 against every
+    row) while its neighbours in the block do."""
+    ds = one_bucket(200, 6, seed=1, zero_rows=[7, 8])
+    queries = [int(ds.ids[row]) for row in (3, 7, 11, 12)]
+    assert union_size(ds, kind, queries[1], 1, 1, 1e8, 2) >= PREFILTER_MIN_ROWS
+    assert_matches_oracle(ds, queries, kind, [1, 2], [1, 3], w=1e8, seed=2, k=3)
+
+
+@pytest.mark.parametrize("kind", ["real", "binary"])
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+@pytest.mark.parametrize("n", [PREFILTER_MIN_ROWS - 1, PREFILTER_MIN_ROWS])
+def test_unions_at_the_cut_size(kind, metric, n, block_queries):
+    ds = one_bucket(n, 5, seed=3)
+    queries = [int(ds.ids[row]) for row in (0, 1, 2, 5, 9)]
+    for qid in queries:
+        assert union_size(ds, kind, qid, 2, 2, 1e8, 5) == n
+    assert_matches_oracle(ds, queries, kind, [1, 2], [1, 2], w=1e8, seed=5, k=3, metric=metric)
+
+
+def test_block_mixes_empty_candidate_and_cut_queries(monkeypatch, block_queries):
+    """Table 0 keys of the queries whose first coordinate exceeds their
+    second move off every bucket: in cells with L = 1 those queries find
+    no candidates, while the others there, and every query in the other
+    cells, cut a candidate set of the whole dataset."""
+    table_keys = RealLshIndex._table_keys
+
+    def shifted(self, values, tables=slice(None)):
+        keys = table_keys(self, values, tables)
+        if len(values) < len(self.dataset):
+            keys[values[:, 0] > values[:, 1], 0] += 10**9
+        return keys
+
+    monkeypatch.setattr(RealLshIndex, "_table_keys", shifted)
+    ds = one_bucket(160, 4, seed=4, spread=1.0)
+    rows = [0, 1, 2, 3, 4, 5, 6]
+    signs = ds.vectors[rows, 0] > ds.vectors[rows, 1]
+    assert signs.any() and not signs.all()
+    queries = [int(ds.ids[row]) for row in rows]
+    caught = assert_matches_oracle(ds, queries, "real", [1, 2], [1, 2], w=1e8, seed=6, k=3)
+    message = f"{signs.sum()} of {len(queries)} queries hit an empty candidate set; each charged cost 1"
+    assert caught == [(RuntimeWarning, message)] * 2
+
+
+@pytest.mark.parametrize("kind", ["real", "binary"])
+def test_euclidean_rows_near_1e30_are_always_kept(kind, block_queries):
+    """A quarter of the rows are scaled to about 1e30: their float32 dot
+    products with a 1e30 query overflow, so their bounds are infinite and
+    the cut keeps them, while the unit rows are cut as usual."""
+    rng = np.random.default_rng(11)
+    n, dim = 200, 6
+    vectors = rng.standard_normal((n, dim))
+    vectors[::4] *= 1e30
+    ds = Dataset(dim, ["a", "b"], np.arange(n) + 100, np.arange(n) % 2, vectors.astype(np.float32))
+    queries = [int(ds.ids[row]) for row in (0, 1, 4, 5, 8)]
+    big = ds.get(queries[0]).values
+    lower, upper = _score_bounds(ds.vectors[::4], ds.norms[::4], big, "euclidean")
+    assert np.isinf(upper).any() and (lower[np.isinf(upper)] == -np.inf).all()
+    assert_matches_oracle(ds, queries, kind, [1, 3], [1], w=1e32, seed=7, k=4, metric="euclidean")
+
+
+@pytest.mark.parametrize("kind", ["real", "binary"])
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_grid_scores_exactly_the_rows_the_bounds_keep(kind, metric, block_queries, monkeypatch):
+    """Small integer rows make every float32 dot product exact, so the
+    block's product and prefilter's matrix-vector product give the same
+    bounds. Per query, the kernel then scores exactly the rows of each
+    cell whose A - M is at most the (k + 1)-th smallest A + M of the cell
+    (every row of a cell of at most k + 1 rows, or of a union below
+    PREFILTER_MIN_ROWS), over all cells."""
+    rng = np.random.default_rng(13)
+    n, dim, k, w, seed = 260, 8, 4, 6.0, 8
+    ds = Dataset(dim, ["a", "b", "c"], np.arange(n) * 2 + 1, rng.integers(0, 3, n),
+                 rng.integers(-6, 7, (n, dim)).astype(np.float32))
+    queries = [int(ds.ids[row]) for row in rng.choice(n, 7, replace=False)]
+    L_values, K_values = [1, 3], [1, 2]
+    assert_matches_oracle(ds, queries, kind, L_values, K_values, w=w, seed=seed, k=k, metric=metric)
+
+    expected, cut = [], 0
+    for qid in queries:
+        q = ds.get(qid).values
+        cells = [ds.rows_of(make_index(kind, ds, L, K, w, seed).candidates(q)[0])
+                 for L in L_values for K in K_values]
+        kept = set()
+        for rows in cells:
+            if len(np.unique(np.concatenate(cells))) >= PREFILTER_MIN_ROWS and len(rows) > k + 1:
+                lower, upper = _score_bounds(ds.vectors[rows], ds.norms[rows], q, metric)
+                cut += len(rows)
+                rows = rows[lower <= np.partition(upper, k)[k]]
+                cut -= len(rows)
+            kept.update(rows.tolist())
+        if kept:
+            expected.append((qid, len(kept)))
+    assert cut > 0
+
+    scored = []
+    kernel = evaluation.distances_to
+
+    def counted(matrix, q, metric):
+        scored.append((int(ds.ids[ds.vectors.tolist().index(q.tolist())]), len(matrix)))
+        return kernel(matrix, q, metric)
+
+    monkeypatch.setattr(evaluation, "distances_to", counted)
+    evaluate_grid(ds, queries, kind, L_values, K_values, w=w, seed=seed, k=k, metric=metric)
+    assert sorted(scored) == sorted(expected)
+
+
+def test_grid_memory_is_bounded_by_the_block():
+    """Four times the queries raise evaluate_grid's traced peak by less
+    than a quarter: each block of GRID_BLOCK_QUERIES queries is dropped
+    before the next, so only the per-query buckets and outcomes grow."""
+    rng = np.random.default_rng(17)
+    n, dim = 16000, 8
+    ds = Dataset(dim, ["a", "b"], np.arange(n), np.arange(n) % 2, rng.standard_normal((n, dim)).astype(np.float32))
+    queries = [int(i) for i in rng.choice(n, 4 * evaluation.GRID_BLOCK_QUERIES, replace=False)]
+
+    def peak(query_ids):
+        evaluate_grid(ds, query_ids, "real", [1, 2], [1], w=0.3, seed=3)
+        tracemalloc.start()
+        try:
+            evaluate_grid(ds, query_ids, "real", [1, 2], [1], w=0.3, seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(queries) < 1.25 * peak(queries[: evaluation.GRID_BLOCK_QUERIES])
+
+
+@pytest.mark.parametrize("kind", ["real", "binary"])
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_block_product_over_the_rows_it_touches(kind, metric, block_queries, monkeypatch):
+    """Eight far-apart clusters of 150 rows: a block whose cut queries touch
+    at most half the rows multiplies only those rows, with the same
+    results."""
+    rng = np.random.default_rng(21)
+    n, dim = 1200, 8
+    vectors = np.repeat(100 * rng.standard_normal((8, dim)), n // 8, axis=0) + 0.05 * rng.standard_normal((n, dim))
+    ds = Dataset(dim, ["a", "b"], np.arange(n) * 5 + 3, np.arange(n) % 2, vectors.astype(np.float32))
+    queries = [int(ds.ids[row]) for row in (0, 7, 151, 3, 160, 170)]
+    subsets = []
+    cut_dots = evaluation._cut_dots
+
+    def spy(vectors, queries, owner, rows):
+        subsets.append(2 * len(np.unique(rows)) <= len(vectors))
+        return cut_dots(vectors, queries, owner, rows)
+
+    monkeypatch.setattr(evaluation, "_cut_dots", spy)
+    K_values = [1, 2] if kind == "real" else [4, 6]
+    assert_matches_oracle(ds, queries, kind, [1, 2], K_values, w=4.0, seed=9, k=4, metric=metric)
+    assert any(subsets)
+
+
+def test_ranked_outcomes_add_ap_in_average_precisions_order():
+    """AP over k = 12 ranks with many hits, where a pairwise sum of the
+    hits / rank terms rounds differently from average_precision's left to
+    right one: every outcome equals the per-query reference bit for bit,
+    member dropped and k kept as rank_top_k's top k + 1 gives them."""
+    rng = np.random.default_rng(23)
+    n, k = 300, 12
+    ds = Dataset(4, ["a", "b", "c"], rng.permutation(n) + 10, rng.integers(0, 3, n),
+                 rng.standard_normal((n, 4)).astype(np.float32))
+    rows = rng.choice(n, 40, replace=False)
+    owner = np.repeat(np.arange(len(rows)), 30)
+    # each query's own row among 29 others, ranked anywhere from first to last
+    found = np.concatenate([rng.permutation(np.append(rng.choice(np.delete(np.arange(n), r), 29, replace=False), r))
+                            for r in rows])
+    dists = rng.integers(0, 5, len(found)) / 4.0  # ties, broken by id
+    computed, examined = rng.integers(0, 3, len(rows)), rng.integers(0, 2, len(rows))
+    outcomes = evaluation._ranked_outcomes(ds, rows, owner, found, dists, computed, examined, k)
+    for i, row in enumerate(rows):
+        qid = int(ds.ids[row])
+        mine = found[owner == i]
+        results = rank_top_k(ds.ids[mine], dists[owner == i], k + 1)
+        relevant = {int(j) for j in ds.class_ids(ds.label_ids[row])} - {qid}
+        ap = average_precision([j for j, _ in results if j != qid][:k], relevant)
+        assert outcomes[i] == QueryOutcome(qid, ap, n, int(computed[i]), max(1, int(computed[i])), examined[i] == 0)
