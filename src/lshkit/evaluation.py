@@ -32,9 +32,9 @@ from .tables import distinct, label_majorities
 STREAM_HOLDOUT = 2
 
 # Queries per block of evaluate_grid, which bound its loop's memory. At 20k x
-# 128 rows and a 4x3 grid a block takes about 0.19 MB per query (tracemalloc):
-# 9.7 MB at 50 queries stays under the 20.8 MB the rest of the grid peaks at,
-# while 100 queries in one block raised that peak to 27.9 MB. Fewer queries
+# 128 rows and a 4x3 grid a block takes about 0.18 MB per query (tracemalloc):
+# 9.0 MB at 50 queries stays under the 20.8 MB the rest of the grid peaks at,
+# while 100 queries in one block raised that peak to 26.6 MB. Fewer queries
 # per block cost time: the float32 product is 4.1 ms for 50 queries against
 # 3.0 ms for 32 (x86-64, one BLAS thread).
 GRID_BLOCK_QUERIES = 50
@@ -283,8 +283,9 @@ def _members(ds: Dataset, rows: np.ndarray) -> np.ndarray:
     return others
 
 
-def _ranked_outcomes(ds: Dataset, rows: np.ndarray, owner, found, dists, computed, examined, k: int):
-    """The QueryOutcome of each storage row ``rows[i]`` from its candidates,
+def _ranked_outcomes(ds: Dataset, rows: np.ndarray, others, owner, found, dists, computed, examined, k: int):
+    """The QueryOutcome of each storage row ``rows[i]``, with ``others[i]``
+    other class members (``_members``), from its candidates,
     the rows ``found[j]`` with ``owner[j] == i`` at kernel distances
     ``dists[j]``: rank them as rank_top_k does, drop the member and keep k
     (rank_top_k's top k + 1 less the member, else its first k); charge
@@ -292,7 +293,6 @@ def _ranked_outcomes(ds: Dataset, rows: np.ndarray, owner, found, dists, compute
     every row, and flag ``examined[i] == 0`` as empty. AP adds hits / rank
     one rank at a time, left to right, and divides by the number of other
     class members, as average_precision does, so every bit agrees with it."""
-    others = _members(ds, rows)
     order = np.lexsort((ds.ids[found], dists, owner))
     owner, found = owner[order], found[order]
     other = found != rows[owner]
@@ -313,17 +313,28 @@ def _ranked_outcomes(ds: Dataset, rows: np.ndarray, owner, found, dists, compute
     return [QueryOutcome(*values) for values in zip(*(np.asarray(f).tolist() for f in fields))]
 
 
-def _member_outcomes(search: Callable, ds: Dataset, rows: np.ndarray, k: int, metric: str) -> list[QueryOutcome]:
-    """The member outcome of each storage row, searched with ``search`` for
-    its top k + 1."""
-    _members(ds, rows)
+def _searched(search: Callable, ds: Dataset, rows: np.ndarray, k: int, metric: str) -> tuple:
+    """``_ranked_outcomes``' owner, found, dists, computed and examined from
+    the top k + 1 of each storage row, searched with ``search``."""
     answers = [search(ds.vectors[r], k + 1, metric) for r in rows]
     found = ds.rows_of([rid for results, _ in answers for rid, _ in results])
     dists = np.array([dist for results, _ in answers for _, dist in results])
     owner = np.repeat(np.arange(len(rows)), [len(results) for results, _ in answers])
     computed = [stats.distance_computations for _, stats in answers]
     examined = np.array([stats.candidates_examined for _, stats in answers])
-    return _ranked_outcomes(ds, rows, owner, found, dists, computed, examined, k)
+    return owner, found, dists, computed, examined
+
+
+def _member_outcomes(search: Callable, ds: Dataset, rows: np.ndarray, k: int, metric: str) -> list[QueryOutcome]:
+    """The member outcome of each storage row, searched with ``search`` for
+    its top k + 1, GRID_BLOCK_QUERIES rows at a time (a block's results
+    are dropped before the next block is searched)."""
+    others = _members(ds, rows)
+    outcomes = []
+    for lo in range(0, len(rows), GRID_BLOCK_QUERIES):
+        block = rows[lo : lo + GRID_BLOCK_QUERIES]
+        outcomes += _ranked_outcomes(ds, block, others[lo : lo + len(block)], *_searched(search, ds, block, k, metric), k)
+    return outcomes
 
 
 def _report(L: int, K: int, outcomes: Sequence[QueryOutcome], bucket_stats: BucketStats) -> EvalReport:
@@ -396,21 +407,10 @@ def _block_candidates(hits: dict, lo: int, hi: int, n: int):
     return pairs >> row_bits, pairs & (1 << row_bits) - 1, dict(zip(hits, at)), computed
 
 
-def _cut_dots(vectors: np.ndarray, queries: np.ndarray, owner: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``vectors[rows[j]] . queries[owner[j]]`` in float32, from one
-    product of the rows the queries touch with the queries, or of all of
-    ``vectors`` when they touch more than half of it."""
-    touched = np.zeros(len(vectors), dtype=bool)
-    touched[rows] = True
-    if 2 * np.count_nonzero(touched) <= len(vectors):
-        touched = np.flatnonzero(touched)
-        vectors, rows = vectors[touched], np.searchsorted(touched, rows)
-    return (vectors @ queries.T).ravel()[rows * len(queries) + owner]
-
-
-def _grid_block(ds: Dataset, block: np.ndarray, candidates: tuple, cells: list, k: int, metric: str) -> dict:
-    """The outcomes of each cell for the query rows ``block``, from their
-    ``_block_candidates``."""
+def _grid_block(ds: Dataset, block: np.ndarray, others: np.ndarray, candidates: tuple, cells: list, k: int,
+                metric: str) -> dict:
+    """The outcomes of each cell for the query rows ``block``, with
+    ``others`` other class members each, from their ``_block_candidates``."""
     owner, found, first, computed = candidates
     count = len(block)
     ends = np.searchsorted(owner, np.arange(count + 1))
@@ -424,9 +424,10 @@ def _grid_block(ds: Dataset, block: np.ndarray, candidates: tuple, cells: list, 
     lower, upper = np.full(len(owner), -np.inf), np.full(len(owner), np.inf)
     if cut.any():
         at = np.flatnonzero(np.repeat(cut, sizes))
-        index = np.repeat(np.arange(np.count_nonzero(cut)), sizes[cut])
+        cuts = np.count_nonzero(cut)
+        index = np.repeat(np.arange(cuts), sizes[cut])
         with np.errstate(all="ignore"):  # inf and NaN dots and scores get the widest bounds
-            dots = _cut_dots(ds.vectors, queries[cut], index, found[at])
+            dots = (ds.vectors @ queries[cut].T).ravel()[found[at] * cuts + index]
             lower[at], upper[at] = _dot_bounds(dots, ds.norms[found[at]], qq[cut][index], ds.dim, metric)
         # by query, then by A + M; a stable sort of owners of up to 16 bits is a radix sort
         order = np.argsort(upper)
@@ -457,7 +458,8 @@ def _grid_block(ds: Dataset, block: np.ndarray, candidates: tuple, cells: list, 
     owners = np.concatenate([c * count + owner[at] for c, at in enumerate(ats)])
     at = np.concatenate(ats)
     computed, examined = np.concatenate(computed), np.concatenate(examined)
-    outcomes = _ranked_outcomes(ds, np.tile(block, len(kept)), owners, found[at], dists[at], computed, examined, k)
+    outcomes = _ranked_outcomes(ds, np.tile(block, len(kept)), np.tile(others, len(kept)), owners, found[at], dists[at],
+                                computed, examined, k)
     return {cell: outcomes[c * count : (c + 1) * count] for c, cell in enumerate(kept)}
 
 
@@ -488,10 +490,10 @@ def evaluate_grid(
     cell (L, K) is the mask ``first < L``; running sums of bucket sizes
     over the tables give its QueryStats. The block's candidate union is
     scored once with prefilter's bounds (``distances._dot_bounds``), from
-    one float32 product of the rows its queries touch (all of ``vectors``
-    when they touch most of it) with the queries that take a cut; as in
-    prefilter, a query whose union has fewer than PREFILTER_MIN_ROWS rows,
-    or an all-zero cosine query, takes none and no product is made for it.
+    one float32 product of all of ``vectors`` with the queries that take a
+    cut; as in prefilter, a query whose union has fewer than
+    PREFILTER_MIN_ROWS rows, or an all-zero cosine query, takes none, and a
+    block where no query takes one makes no product.
     A cell keeps a query's candidates whose A - M is at most the (k + 1)-th
     smallest A + M among them, read from one order of the block by query
     and A + M: by prefilter's proof that keeps every row rank_top_k can
@@ -515,7 +517,7 @@ def evaluate_grid(
         family.make_params(L, K, w, seed)
     top = family.with_coefficients(ds, family.make_params(max(L_values), max(K_values), w, seed))
     rows = ds.rows_of(query_ids)
-    _members(ds, rows)
+    others = _members(ds, rows)
     Ks = sorted(set(K_values))
 
     # per K, per table: the queries' bucket rows, and each bucket's
@@ -533,8 +535,10 @@ def evaluate_grid(
     for lo in range(0, len(rows), GRID_BLOCK_QUERIES):
         block = rows[lo : lo + GRID_BLOCK_QUERIES]
         candidates = _block_candidates(hits, lo, lo + len(block), len(ds))
-        for cell, found in _grid_block(ds, block, candidates, cells, k, metric).items():
-            outcomes[cell] += found
+        block_outcomes = _grid_block(ds, block, others[lo : lo + len(block)], candidates, cells, k, metric)
+        del candidates  # before the next block's are built
+        for cell in cells:
+            outcomes[cell] += block_outcomes[cell]
 
     reports = {}
     for L, K in cells:

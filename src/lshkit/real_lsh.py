@@ -309,8 +309,7 @@ class LshIndex:
                 margin += underflow
                 with np.errstate(all="ignore"):  # a non-finite projection decides nothing
                     levels, decided = self._decide((block @ axes.T).reshape(shape), margin[:, None, None], tables)
-                # the distinct open rows, ascending, by a count (np.unique is slower)
-                rows = np.flatnonzero(np.bincount(np.flatnonzero(~decided) // len(axes)))
+                rows = np.unique(np.flatnonzero(~decided) // len(axes))
                 levels[rows] = 0  # packed as a placeholder; the next tier's keys replace it
                 done.append((self._pack(levels), rows + lo))
             return done

@@ -20,6 +20,7 @@ from lshkit import (
     QueryOutcome,
     average_precision,
     bucket_statistics,
+    class_analysis,
     evaluate_grid,
     generate_synthetic,
     improvement_in_efficiency,
@@ -489,28 +490,25 @@ def test_grid_memory_is_bounded_by_the_block():
     assert peak(queries) < 1.25 * peak(queries[: evaluation.GRID_BLOCK_QUERIES])
 
 
-@pytest.mark.parametrize("kind", ["real", "binary"])
-@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
-def test_block_product_over_the_rows_it_touches(kind, metric, block_queries, monkeypatch):
-    """Eight far-apart clusters of 150 rows: a block whose cut queries touch
-    at most half the rows multiplies only those rows, with the same
-    results."""
-    rng = np.random.default_rng(21)
-    n, dim = 1200, 8
-    vectors = np.repeat(100 * rng.standard_normal((8, dim)), n // 8, axis=0) + 0.05 * rng.standard_normal((n, dim))
-    ds = Dataset(dim, ["a", "b"], np.arange(n) * 5 + 3, np.arange(n) % 2, vectors.astype(np.float32))
-    queries = [int(ds.ids[row]) for row in (0, 7, 151, 3, 160, 170)]
-    subsets = []
-    cut_dots = evaluation._cut_dots
+def test_class_analysis_memory_is_bounded_by_the_block():
+    """The same for class_analysis at a large k: each block's k + 1 results
+    per query are ranked and dropped before the next block is searched, so
+    four times the queries raise the traced peak by less than a quarter."""
+    rng = np.random.default_rng(19)
+    n, dim, k = 3000, 8, 400
+    ds = Dataset(dim, ["a", "b"], np.arange(n), np.arange(n) % 2, rng.standard_normal((n, dim)).astype(np.float32))
+    queries = [int(i) for i in rng.choice(n, 4 * evaluation.GRID_BLOCK_QUERIES, replace=False)]
 
-    def spy(vectors, queries, owner, rows):
-        subsets.append(2 * len(np.unique(rows)) <= len(vectors))
-        return cut_dots(vectors, queries, owner, rows)
+    def peak(query_ids):
+        class_analysis(ds, k=k, query_ids=query_ids)
+        tracemalloc.start()
+        try:
+            class_analysis(ds, k=k, query_ids=query_ids)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
-    monkeypatch.setattr(evaluation, "_cut_dots", spy)
-    K_values = [1, 2] if kind == "real" else [4, 6]
-    assert_matches_oracle(ds, queries, kind, [1, 2], K_values, w=4.0, seed=9, k=4, metric=metric)
-    assert any(subsets)
+    assert peak(queries) < 1.25 * peak(queries[: evaluation.GRID_BLOCK_QUERIES])
 
 
 def test_ranked_outcomes_add_ap_in_average_precisions_order():
@@ -529,7 +527,8 @@ def test_ranked_outcomes_add_ap_in_average_precisions_order():
                             for r in rows])
     dists = rng.integers(0, 5, len(found)) / 4.0  # ties, broken by id
     computed, examined = rng.integers(0, 3, len(rows)), rng.integers(0, 2, len(rows))
-    outcomes = evaluation._ranked_outcomes(ds, rows, owner, found, dists, computed, examined, k)
+    others = evaluation._members(ds, rows)
+    outcomes = evaluation._ranked_outcomes(ds, rows, others, owner, found, dists, computed, examined, k)
     for i, row in enumerate(rows):
         qid = int(ds.ids[row])
         mine = found[owner == i]
