@@ -317,7 +317,7 @@ def _searched(search: Callable, ds: Dataset, rows: np.ndarray, k: int, metric: s
     """``_ranked_outcomes``' owner, found, dists, computed and examined from
     the top k + 1 of each storage row, searched with ``search``."""
     answers = [search(ds.vectors[r], k + 1, metric) for r in rows]
-    found = ds.rows_of([rid for results, _ in answers for rid, _ in results])
+    found = ds.rows_of(np.array([rid for results, _ in answers for rid, _ in results], dtype=np.int64))
     dists = np.array([dist for results, _ in answers for _, dist in results])
     owner = np.repeat(np.arange(len(rows)), [len(results) for results, _ in answers])
     computed = [stats.distance_computations for _, stats in answers]
