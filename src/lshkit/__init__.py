@@ -7,6 +7,8 @@ ratios, bucket statistics, parameter sweeps, per-class analysis, and
 distractor robustness.
 """
 
+from types import ModuleType as _ModuleType
+
 from .binary_lsh import BinaryLshIndex, BinaryLshParams, build_binary_index, hyperplane_bit
 from .dataset import (
     Dataset,
@@ -54,50 +56,6 @@ from .real_lsh import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinaryLshIndex",
-    "BinaryLshParams",
-    "BucketStats",
-    "ClassReport",
-    "Dataset",
-    "DatasetFormatError",
-    "DEFAULT_WIDTH",
-    "EvalReport",
-    "FeatureVector",
-    "ProjectionFunction",
-    "QueryOutcome",
-    "QueryStats",
-    "RealLshIndex",
-    "RealLshParams",
-    "SnapshotError",
-    "average_precision",
-    "best_tradeoff",
-    "bucket_statistics",
-    "build_binary_index",
-    "build_real_index",
-    "class_analysis",
-    "class_metric_correlation",
-    "class_reports_json_lines",
-    "compute_bucket_stats",
-    "dataset_fingerprint",
-    "distractor_contamination",
-    "evaluate_grid",
-    "generate_synthetic",
-    "hyperplane_bit",
-    "improvement_in_efficiency",
-    "knn_exact",
-    "load_dataset",
-    "load_index",
-    "mean_average_precision",
-    "merge_datasets",
-    "parameter_sweep",
-    "pearson_correlation",
-    "projection_hash",
-    "read_class_metric_csv",
-    "run_config",
-    "save_dataset",
-    "save_index",
-    "select_queries",
-    "sweep_csv_text",
-    "write_sweep_csv",
-]
+# every public name bound above, and no submodule
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -13,6 +13,7 @@ import sys
 
 from .binary_lsh import FAMILIES
 from .dataset import generate_synthetic, load_dataset, merge_datasets, save_dataset
+from .distances import METRICS
 from .evaluation import (
     _resolve,
     best_tradeoff,
@@ -42,7 +43,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def _add_metric_k(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--metric", choices=("cosine", "euclidean"), default="cosine")
+    p.add_argument("--metric", choices=METRICS, default="cosine")
     p.add_argument("--k", type=int, default=10)
 
 
@@ -161,9 +162,7 @@ def cmd_class_analysis(args) -> int:
 
 
 def cmd_corr(args) -> int:
-    xs = read_class_metric_csv(args.xs)
-    ys = read_class_metric_csv(args.ys)
-    coeff, shared = class_metric_correlation(xs, ys)
+    coeff, shared = class_metric_correlation(read_class_metric_csv(args.xs), read_class_metric_csv(args.ys))
     print(coeff)
     print(f"{shared} shared classes", file=sys.stderr)
     return 0
@@ -267,7 +266,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a KeyError's str() is the repr of its message, quotes included
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 1
 
 

@@ -313,10 +313,10 @@ def _ranked_outcomes(ds: Dataset, rows: np.ndarray, others, owner, found, dists,
     return [QueryOutcome(*values) for values in zip(*(np.asarray(f).tolist() for f in fields))]
 
 
-def _searched(search: Callable, ds: Dataset, rows: np.ndarray, k: int, metric: str) -> tuple:
+def _searched(search: Callable, ds: Dataset, rows: np.ndarray, count: int, metric: str) -> tuple:
     """``_ranked_outcomes``' owner, found, dists, computed and examined from
-    the top k + 1 of each storage row, searched with ``search``."""
-    answers = [search(ds.vectors[r], k + 1, metric) for r in rows]
+    the top ``count`` of each storage row, searched with ``search``."""
+    answers = [search(ds.vectors[r], count, metric) for r in rows]
     found = ds.rows_of(np.array([rid for results, _ in answers for rid, _ in results], dtype=np.int64))
     dists = np.array([dist for results, _ in answers for _, dist in results])
     owner = np.repeat(np.arange(len(rows)), [len(results) for results, _ in answers])
@@ -333,7 +333,7 @@ def _member_outcomes(search: Callable, ds: Dataset, rows: np.ndarray, k: int, me
     outcomes = []
     for lo in range(0, len(rows), GRID_BLOCK_QUERIES):
         block = rows[lo : lo + GRID_BLOCK_QUERIES]
-        outcomes += _ranked_outcomes(ds, block, others[lo : lo + len(block)], *_searched(search, ds, block, k, metric), k)
+        outcomes += _ranked_outcomes(ds, block, others[lo : lo + len(block)], *_searched(search, ds, block, k + 1, metric), k)
     return outcomes
 
 
@@ -729,7 +729,9 @@ def distractor_contamination(
     backend is a merged Dataset (exact scan) or an index built over one; the
     dataset must carry the source flags attached by merge_datasets. Queries
     default to every source-a vector; query_ids, if given, must be non-empty.
-    Self-matches count like any result.
+    Self-matches count like any result. Queries are searched
+    GRID_BLOCK_QUERIES at a time, and a block's results are counted and
+    dropped before the next block is searched.
     """
     check_k(k)
     scan = isinstance(backend, Dataset)
@@ -742,5 +744,8 @@ def distractor_contamination(
     rows = np.flatnonzero(ds.sources == 0) if query_ids is None else ds.rows_of(query_ids)
     if len(rows) == 0:
         raise ValueError("no queries: the merged dataset has no source-a vectors")
-    found = [rid for row in rows for rid, _ in search(ds.vectors[row], k, metric)[0]]
-    return int(ds.sources[ds.rows_of(found)].sum()) / len(found) if found else 0.0
+    hits = results = 0
+    for lo in range(0, len(rows), GRID_BLOCK_QUERIES):
+        found = _searched(search, ds, rows[lo : lo + GRID_BLOCK_QUERIES], k, metric)[1]
+        hits, results = hits + int(ds.sources[found].sum()), results + len(found)
+    return hits / results if results else 0.0

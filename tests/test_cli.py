@@ -276,3 +276,52 @@ def test_cli_accepts_exactly_the_family_kinds(dataset_file, tmp_path, capsys):
                 main(argv(kind))
             assert exc.value.code == 2, (name, kind)
     capsys.readouterr()
+
+
+def test_unknown_query_id_prints_the_message_unquoted(dataset_file, capsys):
+    capsys.readouterr()
+    assert main(["scan", "--input", str(dataset_file), "--query-id", "999"]) == 1
+    assert capsys.readouterr().err == "error: no vector with id 999\n"
+
+
+def test_metric_choices_are_the_distance_metrics(dataset_file, capsys):
+    import argparse
+
+    from lshkit.cli import build_parser
+    from lshkit.distances import METRICS
+
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    choices = {name: [a.choices for a in p._actions if a.dest == "metric"] for name, p in subparsers.choices.items()}
+    assert {name: c for name, c in choices.items() if c} == {
+        name: [METRICS] for name in ("query", "scan", "sweep", "class-analysis", "contamination")
+    }
+    assert all(c[0] is METRICS for c in choices.values() if c)  # the tuple itself, not a copy of it
+    capsys.readouterr()
+    for metric in METRICS:
+        assert main(["scan", "--input", str(dataset_file), "--query-id", "0", "--metric", metric]) == 0
+        assert json.loads(capsys.readouterr().out)["metric"] == metric
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--input", str(dataset_file), "--query-id", "0", "--metric", "manhattan"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'manhattan'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("a,b", "expected comma-separated integers, got 'a,b'"),
+    (",", "expected at least one integer"),
+])
+def test_sweep_refuses_a_grid_list_that_is_not_integers(dataset_file, tmp_path, capsys, grid, message):
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--input", str(dataset_file), "--index", "real", "--L", grid, "--K", "1",
+              "--seed", "1", "--out", str(tmp_path / "s.csv")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f"argument --L: {message}")
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_sweep_reports_an_ie_target_that_no_row_reaches(dataset_file, tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["sweep", "--input", str(dataset_file), "--index", "real", "--L", "1,2", "--K", "1",
+                 "--seed", "7", "--out", str(tmp_path / "s.csv"), "--ie-target", "1e9"]) == 0
+    assert capsys.readouterr().out == "no configuration reaches IE >= 1000000000.0\n"

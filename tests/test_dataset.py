@@ -416,3 +416,90 @@ def test_norms_from_float32_blocks_equal_the_whole_float64_norms(n):
     norms = ds.norms  # before values64 exists
     assert np.array_equal(norms, row_norms(ds.values64))
     assert np.array_equal(norms, np.sqrt(np.einsum("ij,ij->i", ds.values64, ds.values64)))
+
+
+# ---------------------------------------------------------------------------
+# input checks: each names its defect
+# ---------------------------------------------------------------------------
+
+def _args(n=3, dim=2):
+    return dict(dim=dim, labels=["a", "b"], ids=np.arange(n), label_ids=np.arange(n) % 2,
+                vectors=np.zeros((n, dim), dtype=np.float32))
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"dim": 0, "vectors": np.zeros(0, dtype=np.float32)}, "dim must be positive, got 0"),
+    ({"labels": ["a", "b", "a"]}, "label table contains duplicates"),
+    ({"label_ids": np.array([0, 1])}, "ids, label_ids and vectors disagree on length"),
+    ({"vectors": np.zeros((4, 2), dtype=np.float32)}, "ids, label_ids and vectors disagree on length"),
+    ({"ids": np.array([0, -1, 2])}, "vector ids must be non-negative"),
+    ({"sources": np.zeros(2, dtype=np.uint8)}, "sources must have one flag per vector"),
+    ({"sources": np.zeros((3, 1), dtype=np.uint8)}, "sources must have one flag per vector"),
+])
+def test_dataset_names_each_inconsistent_input(change, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Dataset(**{**_args(), **change})
+
+
+def test_fvec_refuses_a_label_over_65535_bytes(tmp_path):
+    long_label = "é" * 32768  # 65,536 UTF-8 bytes
+    ds = Dataset(2, ["a", long_label], np.arange(2), np.arange(2), np.zeros((2, 2), dtype=np.float32))
+    with pytest.raises(ValueError, match=f"^label too long for fvec format: {'é' * 32}\\.\\.\\.$"):
+        to_fvec_bytes(ds)
+    fits = Dataset(2, ["é" * 32767 + "a"], np.arange(1), np.zeros(1), np.zeros((1, 2), dtype=np.float32))
+    assert from_fvec_bytes(to_fvec_bytes(fits)).labels == fits.labels
+
+
+def test_fvec_header_with_dim_zero_is_format_error():
+    header = np.array((1, 0, 0), [("version", "<u2"), ("dim", "<u4"), ("labels", "<u4")]).tobytes()
+    with pytest.raises(DatasetFormatError, match="^fvec header declares dim=0$"):
+        from_fvec_bytes(b"LSHF" + header + np.array(0, "<u8").tobytes())
+
+
+def test_csv_header_with_dim_zero_is_format_error(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("id,label,dim=0\n")
+    with pytest.raises(DatasetFormatError, match="^csv header declares non-positive dim=0$"):
+        load_dataset(path)
+
+
+def test_csv_blank_rows_are_skipped(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("id,label,dim=2\n\n0,cat,1.0,2.0\n\n\n1,dog,0.0,-1.0\n\n")
+    ds = load_dataset(path)
+    assert ds.ids.tolist() == [0, 1]
+    assert ds.vectors.tolist() == [[1.0, 2.0], [0.0, -1.0]]
+
+
+def test_csv_reader_error_is_format_error(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("id,label,dim=1\n0,cat," + "1" * 131073 + "\n")
+    with pytest.raises(DatasetFormatError, match=r"^malformed csv: field larger than field limit \(131072\)$"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "fvec"])
+def test_explicit_format_overrides_the_extension(tmp_path, fmt):
+    ds = random_dataset()
+    path = tmp_path / "d.data"
+    save_dataset(ds, path, fmt=fmt)
+    assert path.read_bytes().startswith(b"LSHF") == (fmt == "fvec")
+    loaded = load_dataset(path, fmt=fmt)
+    assert loaded.ids.tolist() == ds.ids.tolist() and loaded.vectors.tolist() == ds.vectors.tolist()
+
+
+def test_unknown_explicit_format_is_refused(tmp_path):
+    message = "^unknown dataset format 'json', expected 'csv' or 'fvec'$"
+    with pytest.raises(ValueError, match=message):
+        save_dataset(random_dataset(), tmp_path / "d.csv", fmt="json")
+    with pytest.raises(ValueError, match=message):
+        load_dataset(tmp_path / "d.csv", fmt="json")
+    assert not (tmp_path / "d.csv").exists()
+
+
+def test_merge_refuses_a_label_collision():
+    a = Dataset(2, ["b/x"], np.arange(1), np.zeros(1), np.zeros((1, 2), dtype=np.float32))
+    b = Dataset(2, ["x"], np.arange(1), np.zeros(1), np.ones((1, 2), dtype=np.float32))
+    with pytest.raises(ValueError, match="^label namespace collision while merging$"):
+        merge_datasets(a, b)
+    assert merge_datasets(a, b, label_namespace="c/").labels == ("b/x", "c/x")

@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import math
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -358,6 +360,30 @@ def test_select_queries_refuses_a_count_that_is_not_an_integer(count):
     assert select_queries(ds, seed=1, queries_per_class=np.int64(2)) == select_queries(ds, 1, 0.25, 2)
 
 
+@pytest.mark.parametrize("fraction", [0.0, -0.25, 1.5, float("nan")])
+def test_select_queries_refuses_a_fraction_outside_0_1(fraction):
+    with pytest.raises(ValueError, match=rf"^holdout_fraction must be in \(0, 1\], got {fraction}$"):
+        select_queries(generate_synthetic(2, 20, 4, 0.3, seed=11), seed=0, holdout_fraction=fraction)
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_select_queries_refuses_fewer_than_one_query_per_class(count):
+    with pytest.raises(ValueError, match="^queries_per_class must be >= 1$"):
+        select_queries(generate_synthetic(2, 20, 4, 0.3, seed=11), seed=0, queries_per_class=count)
+
+
+def test_select_queries_skips_a_label_with_no_members():
+    ds = Dataset(2, ["a", "empty", "c"], np.arange(4), np.array([0, 2, 0, 2]), np.zeros((4, 2), dtype=np.float32))
+    queries = select_queries(ds, seed=0, holdout_fraction=1.0, queries_per_class=2)
+    assert sorted(ds.label_of(q) for q in queries) == ["a", "a", "c", "c"]
+
+
+def test_select_queries_refuses_a_dataset_with_no_populated_class():
+    ds = Dataset(2, ["a"], np.array([], dtype=np.int64), np.array([], dtype=np.int64), np.zeros((0, 2), dtype=np.float32))
+    with pytest.raises(ValueError, match="^dataset has no populated classes to draw queries from$"):
+        select_queries(ds, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # parameter sweep
 # ---------------------------------------------------------------------------
@@ -545,6 +571,19 @@ def test_read_class_metric_csv_errors(tmp_path):
     bad.write_text("a,1.0\nb,oops\n")
     with pytest.raises(ValueError, match="malformed"):
         read_class_metric_csv(bad)
+
+
+def test_read_class_metric_csv_skips_blank_rows(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("class,value\n\nboomerang,0.9\n\ndog,0.3\n\n")
+    assert read_class_metric_csv(path) == {"boomerang": 0.9, "dog": 0.3}
+
+
+def test_read_class_metric_csv_refuses_a_row_of_three_fields(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("class,value\na,1.0\nb,2.0,3.0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: row 3: expected 'class,value'$"):
+        read_class_metric_csv(path)
 
 
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN", "Infinity"])
@@ -782,3 +821,49 @@ def test_contamination_refuses_empty_query_ids():
         for ids in ([], np.array([], dtype=np.int64)):
             with pytest.raises(ValueError, match="^query_ids must be non-empty$"):
                 distractor_contamination(backend, k=3, query_ids=ids)
+
+
+@pytest.mark.parametrize("kind", ["exact", "real", "binary"])
+def test_contamination_over_several_blocks_counts_every_result(kind):
+    """Queries over three blocks of GRID_BLOCK_QUERIES, repeats included:
+    the fraction is every query's distractor hits over all its results, as
+    one search per query gives them."""
+    a = generate_synthetic(4, 30, 8, 0.8, seed=41)
+    merged = merge_datasets(a, generate_synthetic(3, 30, 8, 1.0, seed=42))
+    backend = {
+        "exact": merged,
+        "real": build_real_index(merged, RealLshParams(L=3, K=2, w=1.5, seed=5)),
+        "binary": build_binary_index(merged, BinaryLshParams(L=3, K=6, seed=5)),
+    }[kind]
+    search = evaluation._resolve("exact" if kind == "exact" else backend, merged)
+    ids = [int(i) for i in np.random.default_rng(43).choice(merged.ids, 2 * evaluation.GRID_BLOCK_QUERIES + 7)]
+    for query_ids in (None, ids):
+        rows = np.flatnonzero(merged.sources == 0) if query_ids is None else merged.rows_of(query_ids)
+        found = [rid for row in rows for rid, _ in search(merged.vectors[row], 7, "euclidean")[0]]
+        expected = int(merged.sources[merged.rows_of(found)].sum()) / len(found)
+        assert distractor_contamination(backend, k=7, metric="euclidean", query_ids=query_ids) == expected
+
+
+def test_contamination_memory_is_bounded_by_the_block():
+    """Each block's k results per query are counted and dropped before the
+    next block is searched, so four times the queries raise the traced peak
+    by less than a quarter."""
+    rng = np.random.default_rng(29)
+    n, dim, k = 3000, 8, 400
+
+    def source():
+        return Dataset(dim, ["a", "b"], np.arange(n), np.arange(n) % 2, rng.standard_normal((n, dim)).astype(np.float32))
+
+    merged = merge_datasets(source(), source())
+    queries = [int(i) for i in rng.choice(n, 4 * evaluation.GRID_BLOCK_QUERIES, replace=False)]
+
+    def peak(query_ids):
+        distractor_contamination(merged, k=k, query_ids=query_ids)
+        tracemalloc.start()
+        try:
+            distractor_contamination(merged, k=k, query_ids=query_ids)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(queries) < 1.25 * peak(queries[: evaluation.GRID_BLOCK_QUERIES])

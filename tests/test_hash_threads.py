@@ -5,9 +5,11 @@ row blocks into one contiguous run per usable CPU and hashes the runs on
 threads. Here the CPU count is patched to 2 and 3 (3 gives uneven runs) and
 the gate to 0, so the split runs on a one-CPU machine too; the keys, tables,
 snapshot bytes and errors must be those of the serial loop, and no thread
-may outlive a call.
+may outlive a call. One test patches the gate alone and reads the CPU count
+from the affinity mask, so a run under ``taskset -c 0`` checks the serial path.
 """
 
+import os
 import threading
 import tracemalloc
 
@@ -193,3 +195,32 @@ def test_the_sweep_benchmark_shapes_start_no_thread(monkeypatch):
     make_index("real", ds, 8, 3, w=4.0, seed=1)
     parameter_sweep(ds, (2, 4, 8, 16), (2, 3, 4), "real", query_ids=list(range(0, n, 1000)), w=4.0, seed=1)
     assert threading.active_count() == before
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity mask on this platform")
+@pytest.mark.parametrize("kind", ["real", "binary"])
+def test_the_real_affinity_mask_decides_the_split(kind, monkeypatch):
+    """Only the gate is patched (to 0); the CPU count is this process's
+    affinity mask, so under ``taskset -c 0`` no pool starts. A pool of
+    min(usable CPUs, blocks) - 1 workers starts exactly when the mask holds
+    two CPUs or more, the keys are the serial ones, and no thread outlives
+    the call."""
+    pools = []
+    executor = real_lsh.ThreadPoolExecutor
+
+    def logged(workers):
+        pools.append(executor(workers))
+        return pools[-1]
+
+    monkeypatch.setattr(real_lsh, "THREAD_HASH_MIN_ENTRIES", 0)
+    monkeypatch.setattr(real_lsh, "ThreadPoolExecutor", logged)
+    cpus = len(os.sched_getaffinity(0))
+    index = gaussian_index(kind, 3 * HASH_BLOCK_ROWS)
+    values = index.dataset.vectors
+    before = threading.active_count()
+    keys = index._table_keys(values)
+    assert [pool._max_workers for pool in pools] == ([min(cpus, 3) - 1] if cpus >= 2 else [])
+    assert not any(thread.is_alive() for pool in pools for thread in pool._threads)
+    assert threading.active_count() == before
+    expected = serial(monkeypatch, lambda: index._table_keys(values))
+    assert keys.dtype == expected.dtype and np.array_equal(keys, expected)
