@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .distances import as_integer, row_norms
+from .distances import CHUNK_ROWS, as_integer, row_norms
 
 FVEC_MAGIC = b"LSHF"
 FVEC_VERSION = 1
@@ -132,7 +133,8 @@ class Dataset:
             raise ValueError(f"vector ids must be unique: duplicate id {repeated[0]}")
         if n and (label_ids.min() < 0 or label_ids.max() >= len(labels)):
             raise ValueError("label_id out of range of the label table")
-        if not np.isfinite(vectors).all():
+        # in row blocks: a mask of every value would cost a quarter of the vectors
+        if not all(np.isfinite(vectors[lo : lo + CHUNK_ROWS]).all() for lo in range(0, n, CHUNK_ROWS)):
             raise ValueError("vectors contain non-finite values")
         if sources is not None:
             sources = _locked(np.ascontiguousarray(sources, dtype=np.uint8))
@@ -235,29 +237,37 @@ FVEC_BLOCK_ROWS = 4096
 
 
 class _Reader:
-    """Reads ``data`` as consecutive arrays from ``offset`` on, for the fvec and
-    snapshot readers; a read past the end raises ``truncated(its start offset)``."""
+    """Reads a binary stream as consecutive arrays from its position at
+    construction on, for the fvec and snapshot readers. ``size`` is the
+    stream's length, measured once; a read that would pass it, or that the
+    stream cuts short, raises ``truncated(its start offset)``, and nothing
+    of its length is allocated before the first check."""
 
-    def __init__(self, data: bytes, offset: int, truncated: Callable[[int], Exception]):
-        self.data = data
-        self.offset = offset
+    def __init__(self, stream: BinaryIO, truncated: Callable[[int], Exception]):
+        self.stream = stream
+        self.offset = stream.tell()
+        self.size = stream.seek(0, os.SEEK_END)
+        stream.seek(self.offset)
         self._truncated = truncated
 
-    def _advance(self, nbytes: int) -> int:
+    def take_bytes(self, count: int) -> bytes:
+        """The next ``count`` bytes."""
         start = self.offset
-        if nbytes > len(self.data) - start:
+        data = self.stream.read(count) if count <= self.size - start else b""
+        if len(data) != count:
             raise self._truncated(start)
-        self.offset += nbytes
-        return start
+        self.offset += count
+        return data
 
     def take(self, count: int, dtype) -> np.ndarray:
-        """The next ``count`` items of ``dtype``, a read-only view of the data."""
-        return np.frombuffer(self.data, dtype, count, self._advance(count * np.dtype(dtype).itemsize))
+        """The next ``count`` items of ``dtype``, a read-only array."""
+        return np.frombuffer(self.take_bytes(count * np.dtype(dtype).itemsize), dtype, count)
 
-    def take_bytes(self, count: int) -> bytes:
-        """The next ``count`` bytes, sliced out of the data."""
-        start = self._advance(count)
-        return self.data[start:self.offset]
+
+def _seekable(fh: BinaryIO) -> BinaryIO:
+    """``fh`` for ``_Reader``, or its bytes in memory if it cannot seek: a
+    named pipe (``<(...)`` in a shell) has no size until it is read."""
+    return fh if fh.seekable() else io.BytesIO(fh.read())
 
 
 def fvec_chunks(ds: Dataset) -> Iterator[bytes]:
@@ -286,10 +296,24 @@ def to_fvec_bytes(ds: Dataset) -> bytes:
 
 
 def from_fvec_bytes(data: bytes) -> Dataset:
-    """Parse the fvec wire format, reporting the byte offset of any defect."""
-    if data[:4] != FVEC_MAGIC:
+    """Parse the fvec wire format: ``load_dataset``'s fvec reader over
+    ``io.BytesIO(data)``."""
+    return _read_fvec(io.BytesIO(data))
+
+
+def _read_fvec(fh: BinaryIO) -> Dataset:
+    """Read an fvec stream, reporting the byte offset of any defect.
+
+    The header goes through the bounds-checked ``_Reader``, and the body's
+    length is checked against the stream's size before any array of the
+    header's row count is allocated. The records are then read
+    FVEC_BLOCK_ROWS at a time into one reusable block, whose fields are
+    copied straight into the arrays the Dataset keeps: a load holds those
+    arrays and one block, never the file's bytes whole.
+    """
+    if fh.read(4) != FVEC_MAGIC:
         raise DatasetFormatError("not an fvec file: bad magic at offset 0")
-    reader = _Reader(data, 4, lambda at: DatasetFormatError(f"truncated fvec header near offset {at}"))
+    reader = _Reader(fh, lambda at: DatasetFormatError(f"truncated fvec header near offset {at}"))
     version, dim, label_count = reader.take(1, _FVEC_HEADER)[0].tolist()
     if version != FVEC_VERSION:
         raise DatasetFormatError(f"unsupported fvec version {version}")
@@ -311,14 +335,23 @@ def from_fvec_bytes(data: bytes) -> Dataset:
     except ValueError:
         raise DatasetFormatError(f"fvec header declares an unsupported dim={dim}") from None
     expected = count * dtype.itemsize
-    body = data[offset:]
-    if len(body) != expected:
-        raise DatasetFormatError(
-            f"fvec body has {len(body)} bytes at offset {offset}, expected {expected}"
-        )
-    records = np.frombuffer(body, dtype=dtype)
-    # Dataset copies each strided field once, checking the u64 ids first
-    return _checked_dataset(dim, labels, records["id"], records["label_id"], records["values"])
+
+    def short_body(size: int) -> DatasetFormatError:
+        return DatasetFormatError(f"fvec body has {size} bytes at offset {offset}, expected {expected}")
+
+    if reader.size - offset != expected:
+        raise short_body(reader.size - offset)
+    ids, label_ids, vectors = np.empty(count, "<u8"), np.empty(count, "<u4"), np.empty((count, dim), np.float32)
+    block = np.empty(min(count, FVEC_BLOCK_ROWS), dtype)
+    for lo in range(0, count, FVEC_BLOCK_ROWS):
+        records = block[: count - lo]
+        read = fh.readinto(records)
+        if read != records.nbytes:  # the stream ended before its measured size
+            raise short_body(lo * dtype.itemsize + read)
+        hi = lo + len(records)
+        ids[lo:hi], label_ids[lo:hi], vectors[lo:hi] = records["id"], records["label_id"], records["values"]
+    # Dataset keeps vectors as they are, since the array owns its memory
+    return _checked_dataset(dim, labels, ids, label_ids, vectors)
 
 
 def _checked_dataset(dim, labels, ids, label_ids, vectors) -> Dataset:
@@ -415,11 +448,17 @@ def _infer_format(path: str | os.PathLike, fmt: str | None) -> str:
 
 
 def load_dataset(path: str | os.PathLike, fmt: str | None = None) -> Dataset:
-    """Load a dataset from an fvec or csv file (format inferred from extension)."""
+    """Load a dataset from an fvec or csv file (format inferred from extension).
+
+    An fvec file is streamed from the open file (``_read_fvec``): its header
+    through the bounds-checked reader, its records one block at a time into
+    the arrays the Dataset keeps, so the file's bytes are never held whole.
+    A file that cannot seek is read whole first (``_seekable``).
+    """
     fmt = _infer_format(path, fmt)
     if fmt == "fvec":
         with open(path, "rb") as fh:
-            return from_fvec_bytes(fh.read())
+            return _read_fvec(_seekable(fh))
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
             return _read_csv(fh)
@@ -429,15 +468,29 @@ def load_dataset(path: str | os.PathLike, fmt: str | None = None) -> Dataset:
         raise DatasetFormatError(f"malformed csv: {exc}") from exc
 
 
+def _write_atomically(path: str | os.PathLike, write: Callable, **text) -> None:
+    """``write(fh)`` to a new file beside ``path`` (created under the umask,
+    in text mode with the ``open`` arguments ``text`` if any), then renamed
+    over it; if anything fails the new file goes and ``path`` is untouched."""
+    tmp = os.path.join(os.path.dirname(os.fspath(path)), f"{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "x" if text else "xb", **text)  # never an existing file, so a failure unlinks only ours
+    try:
+        with fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_dataset(ds: Dataset, path: str | os.PathLike, fmt: str | None = None) -> None:
-    """Write a dataset; fvec round-trips bit-exactly, csv within float32 repr."""
-    fmt = _infer_format(path, fmt)
-    if fmt == "fvec":
-        with open(path, "wb") as fh:
-            fh.writelines(fvec_chunks(ds))
+    """Write a dataset atomically (a refused save leaves ``path`` as it was);
+    fvec round-trips bit-exactly, csv within float32 repr."""
+    if _infer_format(path, fmt) == "fvec":
+        _write_atomically(path, lambda fh: fh.writelines(fvec_chunks(ds)))
     else:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            _write_csv(ds, fh)
+        _write_atomically(path, lambda fh: _write_csv(ds, fh), newline="", encoding="utf-8")
 
 
 def generate_synthetic(

@@ -284,17 +284,23 @@ def _members(ds: Dataset, rows: np.ndarray) -> np.ndarray:
 
 
 def _ranked_outcomes(ds: Dataset, rows: np.ndarray, others, owner, found, dists, computed, examined, k: int):
-    """The QueryOutcome of each storage row ``rows[i]``, with ``others[i]``
-    other class members (``_members``), from its candidates,
-    the rows ``found[j]`` with ``owner[j] == i`` at kernel distances
-    ``dists[j]``: rank them as rank_top_k does, drop the member and keep k
-    (rank_top_k's top k + 1 less the member, else its first k); charge
-    ``computed[i]`` distance computations, at least 1, against a scan of
-    every row, and flag ``examined[i] == 0`` as empty. AP adds hits / rank
-    one rank at a time, left to right, and divides by the number of other
-    class members, as average_precision does, so every bit agrees with it."""
+    """``_top_outcomes`` of the candidates ``found[j]`` of row ``rows[owner[j]]``
+    at kernel distances ``dists[j]``, ranked first as rank_top_k ranks them:
+    by owner, then distance, then id."""
     order = np.lexsort((ds.ids[found], dists, owner))
-    owner, found = owner[order], found[order]
+    return _top_outcomes(ds, rows, others, owner[order], found[order], computed, examined, k)
+
+
+def _top_outcomes(ds: Dataset, rows: np.ndarray, others, owner, found, computed, examined, k: int):
+    """The QueryOutcome of each storage row ``rows[i]``, with ``others[i]``
+    other class members (``_members``), from its ranked candidates, the rows
+    ``found[j]`` with ``owner[j] == i`` in rank_top_k's order, owner by owner:
+    drop the member and keep k (rank_top_k's top k + 1 less the member, else
+    its first k); charge ``computed[i]`` distance computations, at least 1,
+    against a scan of every row, and flag ``examined[i] == 0`` as empty. AP
+    adds hits / rank one rank at a time, left to right, and divides by the
+    number of other class members, as average_precision does, so every bit
+    agrees with it."""
     other = found != rows[owner]
     owner, found = owner[other], found[other]
     sizes = np.bincount(owner, minlength=len(rows))
@@ -314,15 +320,15 @@ def _ranked_outcomes(ds: Dataset, rows: np.ndarray, others, owner, found, dists,
 
 
 def _searched(search: Callable, ds: Dataset, rows: np.ndarray, count: int, metric: str) -> tuple:
-    """``_ranked_outcomes``' owner, found, dists, computed and examined from
-    the top ``count`` of each storage row, searched with ``search``."""
+    """``_top_outcomes``' owner, found, computed and examined from the top
+    ``count`` of each storage row, searched with ``search``, whose results
+    rank_top_k has ranked."""
     answers = [search(ds.vectors[r], count, metric) for r in rows]
     found = ds.rows_of(np.array([rid for results, _ in answers for rid, _ in results], dtype=np.int64))
-    dists = np.array([dist for results, _ in answers for _, dist in results])
     owner = np.repeat(np.arange(len(rows)), [len(results) for results, _ in answers])
     computed = [stats.distance_computations for _, stats in answers]
     examined = np.array([stats.candidates_examined for _, stats in answers])
-    return owner, found, dists, computed, examined
+    return owner, found, computed, examined
 
 
 def _member_outcomes(search: Callable, ds: Dataset, rows: np.ndarray, k: int, metric: str) -> list[QueryOutcome]:
@@ -333,7 +339,7 @@ def _member_outcomes(search: Callable, ds: Dataset, rows: np.ndarray, k: int, me
     outcomes = []
     for lo in range(0, len(rows), GRID_BLOCK_QUERIES):
         block = rows[lo : lo + GRID_BLOCK_QUERIES]
-        outcomes += _ranked_outcomes(ds, block, others[lo : lo + len(block)], *_searched(search, ds, block, k + 1, metric), k)
+        outcomes += _top_outcomes(ds, block, others[lo : lo + len(block)], *_searched(search, ds, block, k + 1, metric), k)
     return outcomes
 
 

@@ -10,8 +10,9 @@ and member rows as flat arrays, the offsets and rows as u32 below 2**32 rows.
 ``save_index`` writes these arrays straight to the file, one table at a time,
 and builds no copy of the whole payload.
 
-The header is two structured dtypes, and the file is read through the
-bounds-checked ``dataset._Reader`` that also reads fvec files. Coefficients
+The header is two structured dtypes, and the open file is read array by
+array through the bounds-checked ``dataset._Reader`` that also reads fvec
+headers, each read checked against the file's size first. Coefficients
 are stored in f32 and the in-memory index already computes from f32
 coefficients, so a loaded index hashes bit-identically to the original.
 A snapshot only loads against a dataset whose fvec serialization hashes to
@@ -34,7 +35,7 @@ from typing import Iterator
 import numpy as np
 
 from .binary_lsh import FAMILIES
-from .dataset import Dataset, _Reader
+from .dataset import Dataset, _Reader, _seekable, _write_atomically
 from .real_lsh import LshIndex, RealLshIndex
 from .tables import TableFormatError, decode, encode
 
@@ -59,16 +60,7 @@ def dataset_fingerprint(ds: Dataset) -> int:
 def save_index(index: LshIndex, path: str | os.PathLike) -> None:
     """Write a snapshot atomically: to a new file beside ``path`` (created
     under the umask), then renamed over it."""
-    tmp = os.path.join(os.path.dirname(os.fspath(path)), f"{os.urandom(8).hex()}.tmp")
-    fh = open(tmp, "xb")  # never an existing file, so a failure unlinks only ours
-    try:
-        with fh:
-            fh.writelines(_serialize(index))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_atomically(path, lambda fh: fh.writelines(_serialize(index)))
 
 
 def _serialize(index) -> Iterator[np.ndarray]:
@@ -98,44 +90,46 @@ def load_index(path: str | os.PathLike, ds: Dataset) -> LshIndex:
     whose fingerprint does not match the one stored at save time.
     """
     with open(path, "rb") as fh:
-        reader = _Reader(fh.read(), 0, lambda at: SnapshotError(f"truncated snapshot at offset {at}"))
-    if reader.data[:6] != SNAPSHOT_MAGIC:
-        raise SnapshotError("not an index snapshot: bad magic")
-    _, version, kind_code = reader.take(1, _PREFIX)[0].tolist()
-    if version != SNAPSHOT_VERSION:
-        raise SnapshotError(f"unsupported snapshot version {version}")
-    if kind_code >= len(FAMILIES):
-        raise SnapshotError(f"unknown index kind code {kind_code}")
-    family = list(FAMILIES.values())[kind_code]
-    real = family is RealLshIndex
-    L, K, w, seed, dim, fingerprint = reader.take(1, _PARAMS)[0].tolist()
-    try:
-        params = family.make_params(L, K, w, seed)
-    except ValueError as exc:
-        raise SnapshotError(f"invalid index parameters: {exc}") from None
-    if w != getattr(params, "w", 0.0):  # a family without a width stores 0
-        raise SnapshotError(f"invalid index parameters: a {family.kind} index has no width w, got {w}")
-    if dim != ds.dim:
-        raise SnapshotError(f"snapshot dimensionality {dim} does not match dataset dim {ds.dim}")
-    if fingerprint != dataset_fingerprint(ds):
-        raise SnapshotError(
-            "dataset fingerprint mismatch: this snapshot was built over a different dataset"
-        )
+        fh = _seekable(fh)
+        if fh.read(6) != SNAPSHOT_MAGIC:
+            raise SnapshotError("not an index snapshot: bad magic")
+        fh.seek(0)
+        reader = _Reader(fh, lambda at: SnapshotError(f"truncated snapshot at offset {at}"))
+        _, version, kind_code = reader.take(1, _PREFIX)[0].tolist()
+        if version != SNAPSHOT_VERSION:
+            raise SnapshotError(f"unsupported snapshot version {version}")
+        if kind_code >= len(FAMILIES):
+            raise SnapshotError(f"unknown index kind code {kind_code}")
+        family = list(FAMILIES.values())[kind_code]
+        real = family is RealLshIndex
+        L, K, w, seed, dim, fingerprint = reader.take(1, _PARAMS)[0].tolist()
+        try:
+            params = family.make_params(L, K, w, seed)
+        except ValueError as exc:
+            raise SnapshotError(f"invalid index parameters: {exc}") from None
+        if w != getattr(params, "w", 0.0):  # a family without a width stores 0
+            raise SnapshotError(f"invalid index parameters: a {family.kind} index has no width w, got {w}")
+        if dim != ds.dim:
+            raise SnapshotError(f"snapshot dimensionality {dim} does not match dataset dim {ds.dim}")
+        if fingerprint != dataset_fingerprint(ds):
+            raise SnapshotError(
+                "dataset fingerprint mismatch: this snapshot was built over a different dataset"
+            )
 
-    planes = _coefficients(reader, L * K * dim).reshape(L, K, dim)
-    if real:
-        offsets = _coefficients(reader, L * K).reshape(L, K)
-        # a sufficient bound for every key of every dataset row to fit int64
-        largest = max(float(ds.vectors.max(initial=0.0)), -float(ds.vectors.min(initial=0.0)))
-        reach = largest * np.abs(planes.astype(np.float64)).sum(axis=2)
-        if not (reach + np.abs(offsets) < w * 2.0**62).all():
-            raise SnapshotError("hash coefficients too large: dataset keys would overflow int64")
-    try:
-        tables = decode(reader.take, L, K if real else 1, len(ds), "<i8" if real else "<u8")
-    except TableFormatError as exc:
-        raise SnapshotError(f"invalid bucket table: {exc}") from None
-    if reader.offset != len(reader.data):
-        raise SnapshotError(f"{len(reader.data) - reader.offset} trailing bytes after tables")
+        planes = _coefficients(reader, L * K * dim).reshape(L, K, dim)
+        if real:
+            offsets = _coefficients(reader, L * K).reshape(L, K)
+            # a sufficient bound for every key of every dataset row to fit int64
+            largest = max(float(ds.vectors.max(initial=0.0)), -float(ds.vectors.min(initial=0.0)))
+            reach = largest * np.abs(planes.astype(np.float64)).sum(axis=2)
+            if not (reach + np.abs(offsets) < w * 2.0**62).all():
+                raise SnapshotError("hash coefficients too large: dataset keys would overflow int64")
+        try:
+            tables = decode(reader.take, L, K if real else 1, len(ds), "<i8" if real else "<u8")
+        except TableFormatError as exc:
+            raise SnapshotError(f"invalid bucket table: {exc}") from None
+        if reader.offset != reader.size:
+            raise SnapshotError(f"{reader.size - reader.offset} trailing bytes after tables")
     # drawn last, once the file has supplied all L*K*dim floats, so a
     # damaged header's L and K cannot make the draw outgrow the file
     index = family.with_coefficients(ds, params)
